@@ -17,13 +17,14 @@ from .dkg import (
     dkg_deal,
     dkg_finalize,
     dkg_verify_share,
+    first_rejected_partial,
     open_share,
     partial_decrypt,
 )
 from .elgamal import Ciphertext, KeyPair, add_ciphertexts, decrypt_to_element, encrypt_vector, keygen, recover_plaintext
 from .encoding import DetRng, decode_scalar, encode_scalar
 from .errors import BadSignature, NoWinners, PolicyMismatch, Revert
-from .group import PrimeOrderGroup
+from .group import FixedBaseTable, PrimeOrderGroup
 from .hybrid import derive_shared_key, hybrid_wrap, symmetric_open, symmetric_seal
 from .ledger import Call, LedgerState, address_from_pk, contract_address
 from .payments import PayerLedger, make_note, settle_batch, verify_opening
@@ -557,12 +558,17 @@ def analytics_round(
         ledger.call(member.account, Call(fsc_id, "post_analytics", (member.pool_index, aggregate_cts, partials)))
 
     fsc = ledger.contracts[fsc_id]
-    share_commitments = pool.members[0].material.share_commitments
     quorum = sorted(fsc.posted_partials)[: pool.cfg.k]
+    # every ad is combined from the same quorum, so each member's commitment gets one table
+    tables = {
+        idx: FixedBaseTable(group, commitment)
+        for idx, commitment in pool.members[0].material.share_commitments.items()
+        if idx in quorum
+    }
     totals = []
     for ad_index, ct in enumerate(aggregate_cts):
         partials = [fsc.posted_partials[idx][ad_index] for idx in quorum]
-        elem = combine_partials(group, pool.cfg, ct, partials, share_commitments)
+        elem = combine_partials(group, pool.cfg, ct, partials, tables)
         totals.append(recover_plaintext(group, elem, recovery_bound))
     totals = tuple(totals)
 
@@ -597,9 +603,6 @@ def advertiser_verify_analytics(
         commitment = psc.pool_share_commitments.get(pool_index)
         if commitment is None:
             return False
-        for ct, partial in zip(fsc.posted_aggregate_cts, partials):
-            from .dkg import verify_partial
-
-            if not verify_partial(group, ct, partial, commitment):
-                return False
+        if first_rejected_partial(group, fsc.posted_aggregate_cts, partials, commitment) is not None:
+            return False
     return True

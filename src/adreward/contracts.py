@@ -12,7 +12,7 @@ the facilitator when a complaint or the refund arithmetic proves misbehavior.
 from __future__ import annotations
 
 from . import codec
-from .dkg import PartialDecryption, verify_partial
+from .dkg import PartialDecryption, first_rejected_partial
 from .elgamal import Ciphertext, add_ciphertexts, scalar_mul_ciphertext
 from .encoding import decode_scalar, dhash, encode_element
 from .errors import (
@@ -392,10 +392,12 @@ class FundContract:
                 raise Revert("posted aggregates disagree with the earlier posting")
         else:
             self.posted_aggregate_cts = tuple(aggregate_cts)
+        if any(partial.participant_id != pool_index for partial in partials):
+            raise ProofRejected(f"partial decryption from member {pool_index} rejected")
         commitment = psc.pool_share_commitments[pool_index]
-        for ct, partial in zip(aggregate_cts, partials):
-            if partial.participant_id != pool_index or not verify_partial(self.ledger.group, ct, partial, commitment):
-                raise ProofRejected(f"partial decryption from member {pool_index} rejected")
+        rejected = first_rejected_partial(self.ledger.group, aggregate_cts, partials, commitment)
+        if rejected is not None:
+            raise ProofRejected(f"partial decryption from member {pool_index} rejected for ad {rejected}")
         self.posted_partials[pool_index] = tuple(partials)
 
     def store_aggr_clicks(self, ctx: ExecutionContext, values: tuple, cosigs: tuple):

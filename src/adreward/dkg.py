@@ -10,12 +10,13 @@ public share commitments before combining with Lagrange coefficients.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .elgamal import Ciphertext
 from .encoding import DetRng, decode_scalar, encode_scalar
 from .errors import InsufficientShares, InvalidConfig, InvalidPartial, NoQualifiedDealers
-from .group import PrimeOrderGroup
+from .group import FixedBaseTable, PrimeOrderGroup
 from .hybrid import WrappedKey, hybrid_unwrap, hybrid_wrap
 from .proofs import DleqProof, dleq_prove, dleq_verify
 
@@ -150,7 +151,7 @@ def dkg_finalize(
 
 def partial_decrypt(group: PrimeOrderGroup, participant_id: int, share: int, c: Ciphertext) -> PartialDecryption:
     d = group.power(c.c1, share)
-    proof = dleq_prove(group, PARTIAL_DOMAIN, group.g, c.c1, share, context=c.to_bytes())
+    proof = dleq_prove(group, PARTIAL_DOMAIN, group.g, c.c1, share, context=c.to_bytes(), public2=d)
     return PartialDecryption(participant_id=participant_id, d_i=d, proof=proof)
 
 
@@ -158,8 +159,9 @@ def verify_partial(
     group: PrimeOrderGroup,
     c: Ciphertext,
     partial: PartialDecryption,
-    share_commitment: int,
+    share_commitment: int | FixedBaseTable,
 ) -> bool:
+    """Check one partial's DLEQ proof; the commitment may be given as its FixedBaseTable."""
     return dleq_verify(
         group,
         PARTIAL_DOMAIN,
@@ -170,6 +172,23 @@ def verify_partial(
         partial.proof,
         context=c.to_bytes(),
     )
+
+
+def first_rejected_partial(
+    group: PrimeOrderGroup,
+    cts: Sequence[Ciphertext],
+    partials: Sequence[PartialDecryption],
+    share_commitment: int,
+) -> int | None:
+    """Index of the first of one member's partials (paired with cts) that fails, or None.
+
+    The row shares one fixed-base table of the member's share commitment.
+    """
+    table = FixedBaseTable(group, share_commitment)
+    for index, (c, partial) in enumerate(zip(cts, partials)):
+        if not verify_partial(group, c, partial, table):
+            return index
+    return None
 
 
 def lagrange_at_zero(ids: list[int], q: int) -> dict[int, int]:
@@ -190,9 +209,13 @@ def combine_partials(
     cfg: ThresholdConfig,
     c: Ciphertext,
     partials: list[PartialDecryption],
-    share_commitments: dict[int, int],
+    share_commitments: dict[int, int | FixedBaseTable],
 ) -> int:
-    """Recover g^m from at least k verified partial decryptions."""
+    """Recover g^m from at least k verified partial decryptions.
+
+    Share commitments may be given as FixedBaseTables when many ciphertexts are
+    combined from the same members.
+    """
     ids = [p.participant_id for p in partials]
     if len(set(ids)) != len(ids):
         raise InvalidPartial("duplicate participant ids")

@@ -5,7 +5,8 @@ prime p = 2q + 1, which gives exactly what the protocol needs: prime order,
 canonical 32-byte element encodings, and two generators g, h with unknown
 relative discrete log (h is derived by hashing into the group). Exponentiation
 is CPython's C-level ``pow``, with a fixed-base window table for g since g is
-by far the hottest base (key generation, encryption, transcript commitments).
+by far the hottest base (key generation, encryption, transcript commitments),
+and Straus' simultaneous exponentiation for products of two powers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class PrimeOrderGroup:
         self.g = g
         self.identity = 1
         self.h = self.hash_to_element("adreward/generator-h", encode_element(g))
-        self._g_table: list[list[int]] | None = None
+        self._g_table: FixedBaseTable | None = None
         self._bsgs_tables: dict[int, dict[int, int]] = {}
         self._lock = threading.Lock()
 
@@ -52,36 +53,40 @@ class PrimeOrderGroup:
         return a * pow(b, -1, self.p) % self.p
 
     def pow_g(self, exponent: int) -> int:
-        """g^exponent via a lazily built 4-bit fixed-window table."""
+        """g^exponent via a lazily built fixed-base table."""
         table = self._g_table
         if table is None:
             with self._lock:
+                if self._g_table is None:
+                    self._g_table = FixedBaseTable(self, self.g)
                 table = self._g_table
-                if table is None:
-                    table = self._build_g_table()
-                    self._g_table = table
-        e = exponent % self.q
-        acc = 1
-        p = self.p
-        i = 0
-        while e:
-            d = e & 0xF
-            if d:
-                acc = acc * table[i][d] % p
-            e >>= 4
-            i += 1
-        return acc
+        return table.power(exponent)
 
-    def _build_g_table(self) -> list[list[int]]:
-        table = []
-        base = self.g
-        for _ in range(_WINDOW_COUNT):
-            row = [1] * 16
-            for d in range(1, 16):
-                row[d] = row[d - 1] * base % self.p
-            table.append(row)
-            base = row[15] * base % self.p  # base^16
-        return table
+    def multi_power(self, b1: int, e1: int, b2: int, e2: int) -> int:
+        """b1^e1 * b2^e2 mod p for non-negative exponents, as two ``pow`` calls give it.
+
+        Straus' simultaneous exponentiation: both exponents are read in
+        interleaved 4-bit windows, so the two powers share one chain of
+        squarings. Exponents are not reduced mod q, which keeps the result
+        exact for bases outside the subgroup.
+        """
+        p = self.p
+        t1 = [1, b1 % p]
+        t2 = [1, b2 % p]
+        for _ in range(2, 16):
+            t1.append(t1[-1] * t1[1] % p)
+            t2.append(t2[-1] * t2[1] % p)
+        acc = 1
+        top = max(e1.bit_length(), e2.bit_length())
+        for shift in range((top - 1) // _WINDOW_BITS * _WINDOW_BITS, -1, -_WINDOW_BITS):
+            acc = pow(acc, 16, p)
+            d1 = (e1 >> shift) & 0xF
+            d2 = (e2 >> shift) & 0xF
+            if d1:
+                acc = acc * t1[d1] % p
+            if d2:
+                acc = acc * t2[d2] % p
+        return acc
 
     # -- membership and sampling ----------------------------------------------
 
@@ -152,12 +157,14 @@ class PrimeOrderGroup:
 class FixedBaseTable:
     """4-bit window table for repeated exponentiations of one base.
 
-    Building costs ~1k multiplications, so it pays off once a base is used for
-    a few dozen exponentiations (vector encryption under one recipient key).
+    Building costs ~1k multiplications, about five full ``pow`` calls, so it
+    pays off once a base is used more often than that: vector encryption under
+    one recipient key, or checking a pool member's row of partial decryptions.
     """
 
     def __init__(self, group: PrimeOrderGroup, base: int):
         self.group = group
+        self.base = base
         p = group.p
         rows = []
         current = base

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import codec
@@ -316,10 +317,10 @@ class LedgerState:
     def block_count(self) -> int:
         return (len(self.tx_log) + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def export_tx_log(self) -> str:
-        lines = []
+    def export_tx_lines(self) -> Iterator[str]:
+        """One JSON line per logged transaction, built lazily in log order."""
         for tx in self.tx_log:
-            lines.append(json.dumps({
+            yield json.dumps({
                 "seq": tx.sequence_no,
                 "sender": tx.sender.hex(),
                 "contract": tx.call.contract,
@@ -327,8 +328,10 @@ class LedgerState:
                 "args": codec.encode_args(tx.call.args).hex(),
                 "envelope": codec.encode_value(tx.private_envelope).hex(),
                 "sig": tx.signature.to_bytes().hex(),
-            }, sort_keys=True))
-        return "\n".join(lines)
+            }, sort_keys=True)
+
+    def export_tx_log(self) -> str:
+        return "\n".join(self.export_tx_lines())
 
     @classmethod
     def replay(cls, group: PrimeOrderGroup, genesis_json: str, tx_log_lines: str) -> "LedgerState":

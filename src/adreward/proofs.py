@@ -8,11 +8,12 @@ the transcript, which keeps every proof reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .elgamal import Ciphertext
 from .encoding import dhash, encode_element, encode_scalar, hash_to_int
-from .group import PrimeOrderGroup
+from .group import FixedBaseTable, PrimeOrderGroup
 
 SIG_DOMAIN = "adreward/schnorr-sig"
 DECRYPT_DOMAIN = "adreward/decrypt-proof"
@@ -146,9 +147,16 @@ def dleq_prove(
     base2: int,
     exponent: int,
     context: bytes = b"",
+    public2: int | None = None,
 ) -> DleqProof:
-    public1 = group.power(base1, exponent)
-    public2 = group.power(base2, exponent)
+    """Prove log_base1(base1^x) = log_base2(base2^x) for x = exponent.
+
+    A caller that already holds base2^exponent passes it as ``public2``.
+    """
+    power1 = group.pow_g if base1 == group.g else functools.partial(group.power, base1)
+    public1 = power1(exponent)
+    if public2 is None:
+        public2 = group.power(base2, exponent)
     w = hash_to_int(
         "adreward/dleq-nonce",
         domain.encode(),
@@ -157,7 +165,7 @@ def dleq_prove(
         encode_element(base2),
         context,
     ) % group.q
-    a = group.power(base1, w)
+    a = power1(w)
     b = group.power(base2, w)
     e = _dleq_transcript(group, domain, base1, public1, base2, public2, a, b, context)
     z = (w + e * exponent) % group.q
@@ -168,22 +176,37 @@ def dleq_verify(
     group: PrimeOrderGroup,
     domain: str,
     base1: int,
-    public1: int,
+    public1: int | FixedBaseTable,
     base2: int,
     public2: int,
     proof: DleqProof,
     context: bytes = b"",
 ) -> bool:
+    """Check a DLEQ proof; accepts exactly what ``pow`` on both equations accepts.
+
+    ``public1`` may be passed as a FixedBaseTable of it, which a caller builds
+    once when it verifies many proofs against the same public1.
+    """
+    table = None
+    if isinstance(public1, FixedBaseTable):
+        table, public1 = public1, public1.base
     if not (0 <= proof.challenge < group.q and 0 <= proof.response < group.q):
         return False
     e = _dleq_transcript(group, domain, base1, public1, base2, public2, proof.commitment_a, proof.commitment_b, context)
     if e != proof.challenge:
         return False
-    if group.power(base1, proof.response) != proof.commitment_a * group.power(public1, e) % group.p:
+    p = group.p
+    z = proof.response
+    lhs = group.pow_g(z) if base1 == group.g else group.power(base1, z)
+    public1_e = table.power(e) if table is not None else group.power(public1, e)
+    if lhs != proof.commitment_a * public1_e % p:
         return False
-    if group.power(base2, proof.response) != proof.commitment_b * group.power(public2, e) % group.p:
-        return False
-    return True
+    # base2^z == b * public2^e, checked as base2^z * public2^(p-1-e) == b in one
+    # Straus pass; p-1-e inverts e for any unit mod p, inside the subgroup or not
+    if public2 % p == 0:
+        # public2^e is 0 (1 when e = 0) and has no inverse
+        return group.power(base2, z) == (proof.commitment_b if e == 0 else 0) % p
+    return group.multi_power(base2, z, public2, p - 1 - e) == proof.commitment_b % p
 
 
 def aggregate_message(user_pk: int, ciphertext: Ciphertext) -> bytes:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 
 from .actors import (
@@ -384,12 +385,33 @@ def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
 
 
 def _policy_plaintext_leaked(ledger: LedgerState, psc_id: str, fsc_id: str, policies: tuple[int, ...]) -> bool:
-    public = (
-        ledger.contracts[psc_id].state_bytes()
-        + ledger.contracts[fsc_id].state_bytes()
-        + ledger.export_tx_log().encode()
-    )
-    return any(encode_scalar(p) in public for p in set(policies))
+    """Whether a policy's encoding occurs in both contracts' state followed by the exported log."""
+
+    def public_chunks():
+        yield ledger.contracts[psc_id].state_bytes()
+        yield ledger.contracts[fsc_id].state_bytes()
+        for i, line in enumerate(ledger.export_tx_lines()):
+            yield (b"\n" if i else b"") + line.encode()
+
+    return stream_contains(public_chunks(), {encode_scalar(p) for p in policies})
+
+
+def stream_contains(chunks: Iterable[bytes], needles: Collection[bytes]) -> bool:
+    """Whether any needle occurs in the concatenation of chunks, without building it.
+
+    The last ``len(longest needle) - 1`` bytes seen are carried into the next
+    window, so a needle that straddles chunk boundaries is still found.
+    """
+    if not needles:
+        return False
+    keep = max(map(len, needles)) - 1
+    tail = b""
+    for chunk in chunks:
+        window = tail + chunk
+        if any(n in window for n in needles):
+            return True
+        tail = window[-keep:] if keep else b""
+    return any(n in tail for n in needles)
 
 
 @dataclass

@@ -57,7 +57,7 @@ def _rand_from_gamma(gamma: int) -> int:
 def vrf_rand_gen(group: PrimeOrderGroup, sk: int, epsilon: bytes) -> VrfOutput:
     base = group.hash_to_element("adreward/vrf-base", epsilon)
     gamma = group.power(base, sk)
-    proof = dleq_prove(group, VRF_DOMAIN, group.g, base, sk, context=epsilon)
+    proof = dleq_prove(group, VRF_DOMAIN, group.g, base, sk, context=epsilon, public2=gamma)
     return VrfOutput(rand=_rand_from_gamma(gamma), gamma=gamma, proof=proof)
 
 

@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from adreward.encoding import DetRng, decode_element, decode_scalar, encode_element, encode_scalar
 from adreward.group import FixedBaseTable, P, Q, PrimeOrderGroup, default_group
 
@@ -40,6 +43,25 @@ def test_fixed_base_table_matches_generic_pow(group):
     for _ in range(20):
         e = group.random_scalar(rng)
         assert table.power(e) == pow(base, e, group.p)
+
+
+def test_pow_g_uses_one_shared_fixed_base_table(group):
+    group.pow_g(1)
+    table = group._g_table
+    assert isinstance(table, FixedBaseTable) and table.base == group.g
+    group.pow_g(12345)
+    assert group._g_table is table
+
+
+# bases cover 0, the subgroup, its complement (p - x has order 2q) and values >= p
+_bases = st.one_of(st.integers(min_value=0, max_value=2 * P), st.sampled_from([0, 1, P - 1, P, P + 1, 4, P - 4]))
+_exponents = st.one_of(st.integers(min_value=0, max_value=1 << 300), st.sampled_from([0, 1, 15, 16, Q, P - 1, P]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(b1=_bases, e1=_exponents, b2=_bases, e2=_exponents)
+def test_multi_power_matches_two_pows(group, b1, e1, b2, e2):
+    assert group.multi_power(b1, e1, b2, e2) == pow(b1, e1, P) * pow(b2, e2, P) % P
 
 
 def test_hash_to_element_lands_in_subgroup(group):

@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adreward.bench import BenchmarkReport
 from adreward.encoding import DetRng
-from adreward.scenario import ScenarioConfig, build_interactions, build_plan, run_campaign
+from adreward.scenario import ScenarioConfig, build_interactions, build_plan, run_campaign, stream_contains
 
 
 def test_fee_shares_sum_exactly():
@@ -94,3 +96,22 @@ def test_benchmark_report_invariants():
             end_to_end_claim_s=0, batch_proof_gen_s=0, batch_verify_s=0,
             users_per_day=0, users_per_month=0, extrapolation_basis="",
         )
+
+
+# a two-letter alphabet makes needles occur often, and across chunk boundaries
+_bytes = st.binary(max_size=12).map(lambda b: bytes(c & 1 for c in b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunks=st.lists(_bytes, max_size=8), needles=st.lists(_bytes, max_size=4))
+def test_stream_contains_matches_search_of_joined_bytes(chunks, needles):
+    assert stream_contains(iter(chunks), needles) == any(n in b"".join(chunks) for n in needles)
+
+
+def test_stream_contains_finds_needles_straddling_chunks():
+    needle = b"abcdef"
+    assert stream_contains([b"xxab", b"cd", b"efyy"], [needle])  # spans three chunks
+    assert stream_contains([b"a", b"b", b"c", b"d", b"e", b"f"], [b"zz", needle])
+    assert not stream_contains([b"xxab", b"cd", b"eXfyy"], [needle])
+    assert not stream_contains([], [needle])
+    assert stream_contains([], [b""]) == (b"" in b"")
