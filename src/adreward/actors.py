@@ -26,7 +26,7 @@ from .encoding import DetRng, decode_scalar, encode_scalar
 from .errors import BadSignature, NoWinners, PolicyMismatch, Revert
 from .group import FixedBaseTable, PrimeOrderGroup
 from .hybrid import derive_shared_key, hybrid_wrap, symmetric_open, symmetric_seal
-from .ledger import Call, LedgerState, address_from_pk, contract_address
+from .ledger import Call, LedgerState, address_from_pk
 from .payments import PayerLedger, make_note, settle_batch, verify_opening
 from .proofs import aggregate_message, prove_decryption, sign, verify_sig
 from .vrf import vrf_keygen, vrf_rand_gen
@@ -471,7 +471,7 @@ def cf_settle(
     from .contracts import settlement_message
 
     fsc = ledger.contracts[fsc_id]
-    queue = list(fsc.payment_queue)
+    queue = list(fsc.payment_queue.items())
     tau = sum(amount for _, amount in queue) + overdraw
     sig = sign(group, cf.account.sk, settlement_message(fsc_id, fsc.settlement_count, tau))
     receipt = ledger.call(cf.account, Call(fsc_id, "settlement_request", (tau, sig)))

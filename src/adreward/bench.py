@@ -19,9 +19,7 @@ from .actors import (
     Advertiser,
     CampaignFacilitator,
     UserSession,
-    cf_settle,
     make_pool_registrants,
-    mark_payments_processed,
     phase1_setup,
     pool_selection,
     user_claim,
@@ -308,7 +306,7 @@ def bench_concurrent(
     scaling = {}
     for chains in chain_counts:
         args = [(i, catalog, budget_s, seed) for i in range(chains)]
-        counts = run_parallel(_chain_worker, args, processes=True)
+        counts = run_parallel(_chain_worker, args)
         scaling[chains] = {
             "users_processed": sum(counts),
             "per_chain": list(counts),
@@ -388,7 +386,7 @@ def benchmark_summary(
     settlement = bench_settlement(batches=(batch,), runs=3)
     cohort = run_cohort(users, catalog)
     args = [(i, catalog, budget_s, "summary") for i in range(chains)]
-    processed = sum(run_parallel(_chain_worker, args, processes=chains > 1))
+    processed = sum(run_parallel(_chain_worker, args))
     per_day = processed * 86400 / budget_s
     return BenchmarkReport(
         catalog_size=catalog,

@@ -7,12 +7,23 @@ touch public storage), validates payment requests, and hosts the consensus
 pool draw. The fund contract escrows advertiser deposits, queues and settles
 payments, accumulates pool-signed analytics, refunds advertisers, and flags
 the facilitator when a complaint or the refund arithmetic proves misbehavior.
+
+Each contract declares its storage once, in state-hash order. ``DEPLOYED``
+names the fields fixed at deploy time, which are hashed first; ``STORAGE``
+names the fields that transactions change. Rollback and the state commitment
+are derived from these two tuples by ``_snapshot``, ``_restore`` and
+``_state_bytes``. A field is committed in a generic form (a dict as its
+key-sorted items, a list as a tuple, anything else as is) unless ``HASHED_AS``
+maps its name to another encoder. ``CACHES`` names validator-local working
+memory that is no part of storage: rollback drops it and the hash never sees it.
 """
 
 from __future__ import annotations
 
+import copy
+
 from . import codec
-from .dkg import PartialDecryption, first_rejected_partial
+from .dkg import first_rejected_partial
 from .elgamal import Ciphertext, add_ciphertexts, scalar_mul_ciphertext
 from .encoding import decode_scalar, dhash, encode_element
 from .errors import (
@@ -34,7 +45,7 @@ from .errors import (
     UnknownTxRef,
 )
 from .hybrid import symmetric_open
-from .ledger import Address, ExecutionContext, contract_address, register_contract_kind
+from .ledger import Address, ExecutionContext, address_from_pk, contract_address, register_contract_kind
 from .payments import SettlementBatch, verify_batch
 from .proofs import Signature, aggregate_message, verify_decryption, verify_sig
 from .vrf import DrawConfig, VrfOutput, is_selected, max_draw, vrf_verify
@@ -63,7 +74,54 @@ def pool_key_message(contract_id: str, pk_t: int, threshold: int, commitments: t
     )
 
 
+def _committed(value):
+    if isinstance(value, dict):
+        return tuple(sorted(value.items()))
+    if isinstance(value, list):
+        return tuple(value)
+    return value
+
+
+def _snapshot(self) -> tuple:
+    return tuple(copy.copy(getattr(self, name)) for name in self.STORAGE)
+
+
+def _restore(self, snap: tuple) -> None:
+    """Put a snapshot back; its containers become live storage, so restore it once."""
+    for name, value in zip(self.STORAGE, snap):
+        setattr(self, name, value)
+    for name in self.CACHES:
+        setattr(self, name, None)
+
+
+def _state_bytes(self) -> bytes:
+    hashed_as = self.HASHED_AS
+    fields = []
+    for name in self.DEPLOYED + self.STORAGE:
+        value = getattr(self, name)
+        fields.append(hashed_as[name](value) if name in hashed_as else _committed(value))
+    return codec.encode_value(tuple(fields))
+
+
 class PolicyContract:
+    DEPLOYED = ("owner", "cf_pk", "catalog_size", "fund_id")
+    STORAGE = (
+        "enc_policies", "enc_keys", "aggregates", "enc_vec_prime_log",
+        # consensus-pool draw state
+        "registration_open", "registry", "epsilon", "draw_expected", "max_draw_value", "winners",
+        "pool_pk", "pool_threshold", "pool_share_commitments", "pool_sign_pks",
+    )
+    HASHED_AS = {
+        "enc_policies": lambda policies: tuple(p if p is not None else b"" for p in policies),
+        "aggregates": lambda aggregates: tuple(sorted((k, ct, sig) for k, (ct, sig) in aggregates.items())),
+        "epsilon": lambda epsilon: epsilon or b"",
+        "pool_pk": lambda pool_pk: pool_pk or 0,
+    }
+    CACHES = ("_policy_cache",)
+    # Bound in each class body rather than inherited: the per-layer tracer
+    # (perfbench/tracer.py) finds these methods in the class's own vars(cls).
+    snapshot, restore, state_bytes = _snapshot, _restore, _state_bytes
+
     def __init__(self, ledger, contract_id: str, deployer: Address, params: tuple):
         cf_pk, catalog_size, fund_id = params
         self.ledger = ledger
@@ -129,6 +187,11 @@ class PolicyContract:
     # -- reward aggregation -------------------------------------------------------
 
     def compute_aggregate(self, ctx: ExecutionContext, user_pk: int, enc_vec: tuple, enc_vec_prime: tuple):
+        if ctx.sender != address_from_pk(user_pk):
+            raise Unauthorized("a claim must be sent by the key it claims for")
+        key = encode_element(user_pk)
+        if key in self.aggregates:
+            raise Revert("this key already has an aggregate")
         if len(enc_vec) != self.catalog_size or len(enc_vec_prime) != self.catalog_size:
             raise LengthMismatch(f"interaction vectors must have {self.catalog_size} entries")
         policies = self._open_policies(ctx)
@@ -137,7 +200,6 @@ class PolicyContract:
         for policy, ct in zip(policies, enc_vec):
             acc = add_ciphertexts(group, acc, scalar_mul_ciphertext(group, ct, policy))
         sig = ctx.validator_sign(aggregate_message(user_pk, acc))
-        key = encode_element(user_pk)
         self.aggregates[key] = (acc, sig)
         self.enc_vec_prime_log.append((key, tuple(enc_vec_prime)))
         ctx.emit("aggregate-computed", user_pk)
@@ -238,36 +300,6 @@ class PolicyContract:
         self.pool_sign_pks = {idx: sign_pk for idx, _, sign_pk in sign_pks}
         ctx.emit("pool-key-published", pk_t)
 
-    # -- snapshots ----------------------------------------------------------------
-
-    def snapshot(self):
-        return (
-            list(self.enc_policies),
-            self.enc_keys,
-            dict(self.aggregates),
-            list(self.enc_vec_prime_log),
-            self.registration_open,
-            dict(self.registry),
-            self.epsilon,
-            self.draw_expected,
-            self.max_draw_value,
-            dict(self.winners),
-            self.pool_pk,
-            self.pool_threshold,
-            dict(self.pool_share_commitments),
-            dict(self.pool_sign_pks),
-        )
-
-    def restore(self, snap):
-        (self.enc_policies, self.enc_keys, self.aggregates, self.enc_vec_prime_log,
-         self.registration_open, self.registry, self.epsilon, self.draw_expected,
-         self.max_draw_value, self.winners, self.pool_pk, self.pool_threshold,
-         self.pool_share_commitments, self.pool_sign_pks) = (
-            list(snap[0]), snap[1], dict(snap[2]), list(snap[3]), snap[4], dict(snap[5]),
-            snap[6], snap[7], snap[8], dict(snap[9]), snap[10], snap[11], dict(snap[12]), dict(snap[13]),
-        )
-        self._policy_cache = None
-
     def storage_json(self) -> str:
         """Public storage dump for audit tooling."""
         import json
@@ -288,30 +320,21 @@ class PolicyContract:
             "winners": sorted(self.winners),
         }, sort_keys=True)
 
-    def state_bytes(self) -> bytes:
-        return codec.encode_value((
-            self.owner,
-            self.cf_pk,
-            self.catalog_size,
-            self.fund_id,
-            tuple(p if p is not None else b"" for p in self.enc_policies),
-            self.enc_keys,
-            tuple(sorted((k, v[0], v[1]) for k, v in self.aggregates.items())),
-            tuple(self.enc_vec_prime_log),
-            self.registration_open,
-            tuple(sorted(self.registry.items())),
-            self.epsilon or b"",
-            self.draw_expected,
-            self.max_draw_value,
-            tuple(sorted(self.winners.items())),
-            self.pool_pk or 0,
-            self.pool_threshold,
-            tuple(sorted(self.pool_share_commitments.items())),
-            tuple(sorted(self.pool_sign_pks.items())),
-        ))
-
 
 class FundContract:
+    DEPLOYED = ("owner", "cf_pk", "fee", "catalog_size", "policy_id")
+    STORAGE = (
+        "initialized", "advertisers", "adv_ad_indices", "required_deposits", "fee_shares",
+        "escrow", "escrow_sources", "payment_queue", "paid", "aggr_clicks",
+        "posted_aggregate_cts", "posted_partials", "notes", "settlement_count", "refunds_paid",
+        "refund_deficit", "campaign_complete", "fees_paid", "cf_flagged_dishonest", "state_failed",
+        "complaints",
+    )
+    HASHED_AS = {"payment_queue": lambda queue: tuple(queue.items())}  # insertion order
+    CACHES = ()
+    # Bound in each class body rather than inherited: see PolicyContract.
+    snapshot, restore, state_bytes = _snapshot, _restore, _state_bytes
+
     def __init__(self, ledger, contract_id: str, deployer: Address, params: tuple):
         cf_pk, fee, catalog_size, policy_id = params
         self.ledger = ledger
@@ -329,8 +352,7 @@ class FundContract:
         self.fee_shares: dict[str, int] = {}
         self.escrow: dict[str, int] = {}
         self.escrow_sources: dict[str, bytes] = {}  # refunds return to the funding account
-        self.payment_queue: list[tuple[bytes, int]] = []  # (addr, amount), insertion order
-        self.queued_amounts: dict[bytes, int] = {}
+        self.payment_queue: dict[bytes, int] = {}  # addr -> amount, in queueing order
         self.paid: list[bytes] = []
         self.aggr_clicks: tuple[int, ...] = tuple([0] * catalog_size)
         self.posted_aggregate_cts: tuple = ()
@@ -373,10 +395,7 @@ class FundContract:
         self.escrow[adv_id] = amount
         self.escrow_sources[adv_id] = ctx.sender
         if all(a in self.escrow for a in self.advertisers):
-            self._initialise_campaign()
-
-    def _initialise_campaign(self):
-        self.initialized = True
+            self.initialized = True
 
     # -- analytics -------------------------------------------------------------
 
@@ -421,10 +440,9 @@ class FundContract:
     # -- payments ----------------------------------------------------------------
 
     def _queue_payment(self, addr: bytes, amount: int):
-        if addr in self.queued_amounts:
+        if addr in self.payment_queue:
             raise DuplicateAddress("payment address already queued")
-        self.payment_queue.append((addr, amount))
-        self.queued_amounts[addr] = amount
+        self.payment_queue[addr] = amount
 
     def settlement_request(self, ctx: ExecutionContext, amount: int, sig: Signature):
         msg = settlement_message(self.contract_id, self.settlement_count, amount)
@@ -446,7 +464,7 @@ class FundContract:
             raise UnknownTxRef("no settled note under this reference")
         if note.recipient != addr:
             raise UnknownAddr("note does not pay this address")
-        if addr not in self.queued_amounts:
+        if addr not in self.payment_queue:
             raise UnknownAddr("address was never queued")
         if addr in self.paid:
             return  # idempotent re-mark
@@ -491,7 +509,7 @@ class FundContract:
         note = self.notes.get(tx_ref)
         if note is None:
             raise NoSuchRequest("no settled note under this reference")
-        queued = self.queued_amounts.get(note.recipient)
+        queued = self.payment_queue.get(note.recipient)
         if queued is None:
             raise NoSuchRequest("note recipient was never queued")
         if not verify_opening(self.ledger.group, note, r, l):
@@ -516,34 +534,6 @@ class FundContract:
             self.complaints.append(("refund-deficit", adv_id, spent, refunded))
             ctx.emit("cf-flagged", "refund-deficit")
 
-    # -- snapshots -----------------------------------------------------------------
-
-    def snapshot(self):
-        return (
-            self.initialized, list(self.advertisers), dict(self.adv_ad_indices),
-            dict(self.required_deposits), dict(self.fee_shares), dict(self.escrow),
-            dict(self.escrow_sources),
-            list(self.payment_queue), dict(self.queued_amounts), list(self.paid),
-            self.aggr_clicks, self.posted_aggregate_cts, dict(self.posted_partials),
-            dict(self.notes), self.settlement_count, dict(self.refunds_paid),
-            self.refund_deficit, self.campaign_complete, self.fees_paid,
-            self.cf_flagged_dishonest, self.state_failed, list(self.complaints),
-        )
-
-    def restore(self, snap):
-        (self.initialized, self.advertisers, self.adv_ad_indices, self.required_deposits,
-         self.fee_shares, self.escrow, self.escrow_sources,
-         self.payment_queue, self.queued_amounts, self.paid,
-         self.aggr_clicks, self.posted_aggregate_cts, self.posted_partials, self.notes,
-         self.settlement_count, self.refunds_paid, self.refund_deficit, self.campaign_complete,
-         self.fees_paid, self.cf_flagged_dishonest, self.state_failed, self.complaints) = (
-            snap[0], list(snap[1]), dict(snap[2]), dict(snap[3]), dict(snap[4]), dict(snap[5]),
-            dict(snap[6]),
-            list(snap[7]), dict(snap[8]), list(snap[9]), snap[10], snap[11], dict(snap[12]),
-            dict(snap[13]), snap[14], dict(snap[15]), snap[16], snap[17], snap[18],
-            snap[19], snap[20], list(snap[21]),
-        )
-
     def storage_json(self) -> str:
         """Public storage dump for audit tooling."""
         import json
@@ -554,7 +544,7 @@ class FundContract:
             "advertisers": list(self.advertisers),
             "escrow": dict(sorted(self.escrow.items())),
             "fee": self.fee,
-            "payment_requests": [[addr.hex(), amount] for addr, amount in self.payment_queue],
+            "payment_requests": [[addr.hex(), amount] for addr, amount in self.payment_queue.items()],
             "paid_requests": [addr.hex() for addr in self.paid],
             "aggr_clicks": list(self.aggr_clicks),
             "refunds_paid": dict(sorted(self.refunds_paid.items())),
@@ -575,26 +565,6 @@ class FundContract:
             }, sort_keys=True)
             for ref, note in sorted(self.notes.items())
         )
-
-    def state_bytes(self) -> bytes:
-        return codec.encode_value((
-            self.owner, self.cf_pk, self.fee, self.catalog_size, self.policy_id,
-            self.initialized, tuple(self.advertisers),
-            tuple(sorted(self.adv_ad_indices.items())),
-            tuple(sorted(self.required_deposits.items())),
-            tuple(sorted(self.fee_shares.items())),
-            tuple(sorted(self.escrow.items())),
-            tuple(sorted(self.escrow_sources.items())),
-            tuple(self.payment_queue), tuple(self.paid),
-            self.aggr_clicks, self.posted_aggregate_cts,
-            tuple(sorted(self.posted_partials.items())),
-            tuple(sorted(self.notes.items())),
-            self.settlement_count,
-            tuple(sorted(self.refunds_paid.items())),
-            self.refund_deficit, self.campaign_complete, self.fees_paid,
-            self.cf_flagged_dishonest, self.state_failed,
-            tuple(self.complaints),
-        ))
 
 
 register_contract_kind("policy", lambda ledger, cid, deployer, params: PolicyContract(ledger, cid, deployer, params))

@@ -53,11 +53,6 @@ class PartialDecryption:
     d_i: int
     proof: DleqProof
 
-    def to_bytes(self) -> bytes:
-        from .encoding import encode_element
-
-        return self.participant_id.to_bytes(4, "big") + encode_element(self.d_i) + self.proof.to_bytes()
-
 
 def dkg_deal(
     group: PrimeOrderGroup,

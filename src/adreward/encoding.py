@@ -108,8 +108,3 @@ class DetRng:
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
-            items[i], items[j] = items[j], items[i]

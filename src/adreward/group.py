@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import threading
 
-from .encoding import dhash, encode_element, hash_to_int
+from .encoding import encode_element, hash_to_int
 
 # Largest 255-bit safe prime: both p and (p-1)/2 are prime. The subgroup of
 # quadratic residues mod p therefore has prime order q = (p-1)/2.
@@ -202,7 +202,3 @@ def default_group() -> PrimeOrderGroup:
             if _default_group is None:
                 _default_group = PrimeOrderGroup()
     return _default_group
-
-
-def element_fingerprint(group: PrimeOrderGroup, element: int) -> bytes:
-    return dhash("adreward/element-fp", encode_element(element))

@@ -13,17 +13,15 @@ import json
 import threading
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import codec
 from .elgamal import KeyPair, keygen
 from .encoding import DetRng, dhash, encode_element
-from .errors import AdRewardError, BadSequence, BadSignature, InsufficientFunds, Revert
-from .group import PrimeOrderGroup, default_group
+from .errors import BadSequence, BadSignature, InsufficientFunds, Revert
+from .group import PrimeOrderGroup
 from .hybrid import WrappedKey, hybrid_unwrap, hybrid_wrap
 from .proofs import Signature, sign, verify_sig
-
-BLOCK_SIZE = 50
 
 Address = bytes  # 20-byte identifier
 
@@ -203,7 +201,7 @@ class LedgerState:
                 exec_time=time.perf_counter() - started,
                 result=result,
             )
-        except AdRewardError as exc:
+        except Exception as exc:  # any failure in dispatch reverts, so every tx gets one receipt
             self._restore(snapshot)
             receipt = Receipt(
                 sequence_no=tx.sequence_no,
@@ -314,9 +312,6 @@ class LedgerState:
             parts.append(self.contracts[cid].state_bytes())
         return dhash("adreward/state", *parts).hex()
 
-    def block_count(self) -> int:
-        return (len(self.tx_log) + BLOCK_SIZE - 1) // BLOCK_SIZE
-
     def export_tx_lines(self) -> Iterator[str]:
         """One JSON line per logged transaction, built lazily in log order."""
         for tx in self.tx_log:
@@ -327,7 +322,7 @@ class LedgerState:
                 "method": tx.call.method,
                 "args": codec.encode_args(tx.call.args).hex(),
                 "envelope": codec.encode_value(tx.private_envelope).hex(),
-                "sig": tx.signature.to_bytes().hex(),
+                "sig": codec.encode_value(tx.signature).hex(),
             }, sort_keys=True)
 
     def export_tx_log(self) -> str:
@@ -343,26 +338,15 @@ class LedgerState:
             if not line.strip():
                 continue
             entry = json.loads(line)
-            sig_raw = bytes.fromhex(entry["sig"])
             tx = Transaction(
                 sequence_no=entry["seq"],
                 sender=bytes.fromhex(entry["sender"]),
                 call=Call(entry["contract"], entry["method"], codec.decode_args(bytes.fromhex(entry["args"]))),
                 private_envelope=codec.decode_value(bytes.fromhex(entry["envelope"])),
-                signature=_signature_from_bytes(sig_raw),
+                signature=codec.decode_value(bytes.fromhex(entry["sig"])),
             )
             ledger.submit(tx)
         return ledger
-
-
-def _signature_from_bytes(raw: bytes) -> Signature:
-    from .encoding import decode_element, decode_scalar
-
-    return Signature(
-        challenge=decode_scalar(raw[:32]),
-        response=decode_scalar(raw[32:64]),
-        signer_pk=decode_element(raw[64:96]),
-    )
 
 
 def _seed_repr(seed: bytes | str) -> str:
@@ -382,29 +366,12 @@ def _contract_kinds() -> dict:
     return _KINDS
 
 
-@dataclass
-class SidechainSet:
-    """Independent parallel chains; no shared mutable state."""
+def run_parallel(worker, per_chain_args: list[tuple]) -> list:
+    """Run one workload per chain: one chain inline, several in separate processes.
 
-    chains: list[LedgerState] = field(default_factory=list)
-
-    @classmethod
-    def create(cls, group: PrimeOrderGroup, count: int, seed: str) -> "SidechainSet":
-        chains = [
-            LedgerState.genesis(group, f"{seed}/chain-{i}", chain_id=f"chain-{i}")
-            for i in range(count)
-        ]
-        return cls(chains=chains)
-
-
-def run_parallel(worker, per_chain_args: list[tuple], processes: bool = True) -> list:
-    """Run one workload per chain; separate processes give true parallelism.
-
-    `worker` must be a module-level callable when processes=True.
+    `worker` must be a module-level callable when there is more than one chain.
     """
-    if not per_chain_args:
-        return []
-    if not processes or len(per_chain_args) == 1:
+    if len(per_chain_args) <= 1:
         return [worker(*args) for args in per_chain_args]
     from concurrent.futures import ProcessPoolExecutor
 

@@ -28,9 +28,6 @@ class PaymentNote:
     commitment: int
     range_tag: int
 
-    def to_bytes(self) -> bytes:
-        return self.tx_ref + self.recipient + encode_element(self.commitment) + self.range_tag.to_bytes(8, "big")
-
 
 @dataclass(frozen=True)
 class SettlementBatch:
@@ -138,10 +135,6 @@ class NoteRegistry:
 
     def add(self, note: PaymentNote) -> None:
         self._notes[note.tx_ref] = note
-
-    def add_batch(self, batch: SettlementBatch) -> None:
-        for note in batch.notes:
-            self.add(note)
 
     def has(self, tx_ref: bytes) -> bool:
         return tx_ref in self._notes

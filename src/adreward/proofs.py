@@ -38,14 +38,6 @@ class DecryptionProof:
     challenge: int
     response: int
 
-    def to_bytes(self) -> bytes:
-        return (
-            encode_element(self.commitment_a)
-            + encode_element(self.commitment_b)
-            + encode_scalar(self.challenge)
-            + encode_scalar(self.response)
-        )
-
 
 def sign(group: PrimeOrderGroup, sk: int, msg: bytes) -> Signature:
     pk = group.pow_g(sk)
@@ -117,14 +109,6 @@ class DleqProof:
     commitment_b: int
     challenge: int
     response: int
-
-    def to_bytes(self) -> bytes:
-        return (
-            encode_element(self.commitment_a)
-            + encode_element(self.commitment_b)
-            + encode_scalar(self.challenge)
-            + encode_scalar(self.response)
-        )
 
 
 def _dleq_transcript(group, domain, base1, public1, base2, public2, a, b, context) -> int:

@@ -33,7 +33,7 @@ from .actors import (
     user_payment_request,
 )
 from .encoding import DetRng, encode_scalar
-from .errors import CampaignFailed, Revert, ScenarioError
+from .errors import ScenarioError
 from .group import default_group
 from .ledger import Call, LedgerState, contract_address
 
@@ -290,11 +290,11 @@ def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
     overdraw = 0
     if cfg.misbehavior_kind == "underpay":
         target = sessions[cfg.misbehavior_user]
-        queued = dict(fsc.payment_queue)[target.reward_address]
+        queued = fsc.payment_queue[target.reward_address]
         underpay = {target.reward_address: min(cfg.misbehavior_delta, queued)}
     elif cfg.misbehavior_kind == "overwithdraw":
         # shortfall must exceed the fee slack before refunds feel it
-        expected_refunds = deposits_total - sum(a for _, a in fsc.payment_queue) - cfg.fee
+        expected_refunds = deposits_total - sum(fsc.payment_queue.values()) - cfg.fee
         overdraw = cfg.fee + min(cfg.misbehavior_delta, max(expected_refunds, 0))
     outcome = cf_settle(group, ledger, fsc_id, cf, seed_rng.child("settle"), underpay=underpay, overdraw=overdraw)
     for session in sessions:
@@ -313,7 +313,7 @@ def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
         s.user_id: sum(p * a for p, a in zip(plan.policies, s.counts))
         for s in sessions
     }
-    payouts = {s.user_id: fsc.queued_amounts.get(s.reward_address, 0) for s in sessions}
+    payouts = {s.user_id: fsc.payment_queue.get(s.reward_address, 0) for s in sessions}
     oracle_totals = [sum(v[i] for v in interactions) for i in range(cfg.num_ads)]
 
     report.payouts = payouts

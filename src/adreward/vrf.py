@@ -31,9 +31,6 @@ class VrfOutput:
     gamma: int
     proof: DleqProof
 
-    def to_bytes(self) -> bytes:
-        return self.rand.to_bytes(8, "big") + encode_element(self.gamma) + self.proof.to_bytes()
-
 
 @dataclass(frozen=True)
 class DrawConfig:

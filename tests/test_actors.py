@@ -100,7 +100,7 @@ def test_payment_request_retries_on_corrupted_client_copy(group):
     session.aggregate_sig = dataclasses.replace(session.aggregate_sig, response=(session.aggregate_sig.response + 1) % group.q)
     user_payment_request(group, ledger, psc_id, session, plan.recovery_bound)
     fsc = ledger.contracts[fsc_id]
-    assert fsc.queued_amounts[session.reward_address] == sum(plan.policies)
+    assert fsc.payment_queue[session.reward_address] == sum(plan.policies)
 
 
 def test_settlement_ten_users_all_paid(group):
@@ -226,7 +226,7 @@ def test_centralized_baseline_cross_check(group):
         proof = prove_decryption(group, user.sk, aggregate, dec_result)
         paid = manager.pay(user.pk, dec_result, aggregate, reward_sig, proof)
 
-        assert fsc.queued_amounts[session.reward_address] == paid
+        assert fsc.payment_queue[session.reward_address] == paid
 
 
 def test_sessions_rotate_keys_per_period(group):

@@ -4,7 +4,10 @@ rewards [4, 20, 12] and an interaction vector [3, 0, 2] paying out 36."""
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adreward import codec
 from adreward.actors import (
     AdCatalog,
     Advertiser,
@@ -21,12 +24,12 @@ from adreward.actors import (
     user_claim,
     user_payment_request,
 )
-from adreward.contracts import keys_message, settlement_message
-from adreward.elgamal import decrypt, encrypt_vector, keygen
-from adreward.encoding import DetRng, encode_scalar
+from adreward.contracts import FundContract, PolicyContract, keys_message, settlement_message
+from adreward.elgamal import Ciphertext, decrypt, encrypt_vector, keygen
+from adreward.encoding import DetRng, encode_element, encode_scalar
 from adreward.errors import PolicyMismatch
 from adreward.ledger import Call, LedgerState, address_from_pk, contract_address
-from adreward.proofs import sign
+from adreward.proofs import Signature, sign
 
 POLICIES = (4, 20, 12)
 
@@ -154,13 +157,55 @@ def test_get_aggregate_unknown_key_and_stability(campaign, group):
     assert first == second  # bit-identical stored value
 
 
+def test_one_claim_per_key(campaign, group):
+    session = campaign.claim([3, 0, 2])
+    before = campaign.psc.state_bytes()
+    enc_vec = tuple(encrypt_vector(group, session.ephemeral.pk, [8, 8, 8], session.enc_rng))
+    receipt = campaign.ledger.call(session.ephemeral, Call(
+        campaign.psc_id, "compute_aggregate", (session.ephemeral.pk, enc_vec, enc_vec),
+    ))
+    assert receipt.revert_reason == "Revert: this key already has an aggregate"
+    assert campaign.psc.state_bytes() == before
+    assert campaign.ledger.view(campaign.psc_id, "get_aggregate", session.ephemeral.pk) == (
+        session.aggregate, session.aggregate_sig,
+    )
+
+
+def test_claim_must_be_sent_by_the_claimed_key(campaign, group):
+    session = campaign.claim([1, 0, 0])  # provisions the pool
+    victim = campaign.session([1, 1, 1], label="victim")
+    enc_vec = tuple(encrypt_vector(group, victim.ephemeral.pk, [8, 8, 8], victim.enc_rng))
+    receipt = campaign.ledger.call(session.ephemeral, Call(
+        campaign.psc_id, "compute_aggregate", (victim.ephemeral.pk, enc_vec, enc_vec),
+    ))
+    assert receipt.revert_reason.startswith("Unauthorized: ")
+    assert encode_element(victim.ephemeral.pk) not in campaign.psc.aggregates
+    assert len(campaign.psc.enc_vec_prime_log) == 1
+
+
+def test_rejected_claim_retry_leaves_analytics_at_the_oracle(group):
+    campaign = Campaign(group, seed="retry", with_pool=True)
+    counts_list = ((3, 0, 2), (1, 1, 0))
+    sessions = [campaign.claim(counts, label=f"user-{i}") for i, counts in enumerate(counts_list)]
+    retry = tuple(encrypt_vector(group, campaign.psc.pool_pk, [2, 2, 2], sessions[0].enc_rng))
+    receipt = campaign.ledger.call(sessions[0].ephemeral, Call(
+        campaign.psc_id, "compute_aggregate", (sessions[0].ephemeral.pk, retry, retry),
+    ))
+    assert receipt.status == "reverted"
+    totals = analytics_round(group, campaign.ledger, campaign.psc_id, campaign.fsc_id, campaign.pool,
+                             len(counts_list) * campaign.plan.click_cap, campaign.rng.child("analytics"))
+    oracle = [sum(column) for column in zip(*counts_list)]
+    assert list(totals) == oracle
+    assert list(campaign.fsc.aggr_clicks) == oracle
+
+
 # -- payment requests ---------------------------------------------------------------
 
 
 def test_honest_payment_request_queues_amount(campaign, group):
     session = campaign.claim([3, 0, 2])
     user_payment_request(group, campaign.ledger, campaign.psc_id, session, campaign.plan.recovery_bound)
-    assert campaign.fsc.payment_queue == [(session.reward_address, 36)]
+    assert campaign.fsc.payment_queue == {session.reward_address: 36}
 
 
 def test_wrong_claimed_plaintext_rejected_on_chain(campaign, group):
@@ -348,7 +393,7 @@ def test_payment_processed_flow_and_refund_conservation(group):
 
     fee_receipt = campaign.ledger.call(campaign.cf.account, Call(campaign.fsc_id, "pay_processing_fees", ()))
     assert fee_receipt.status == "ok"
-    payouts = sum(amount for _, amount in fsc.payment_queue)
+    payouts = sum(fsc.payment_queue.values())
     refunds = sum(fsc.refunds_paid.values())
     assert campaign.deposits == payouts + refunds + campaign.plan.fee
     assert campaign.ledger.balance(contract_address(campaign.fsc_id)) == 0
@@ -395,7 +440,7 @@ def test_pay_processing_fees_zero_fee_allowed(group):
 def test_underpaid_user_complaint_flags_cf(group):
     campaign, sessions, outcome = run_full_campaign(group, seed="underpaid", underpay_delta=6)
     tx_ref, r, paid = sessions[0].opening
-    assert paid == 30 and campaign.fsc.queued_amounts[sessions[0].reward_address] == 36
+    assert paid == 30 and campaign.fsc.payment_queue[sessions[0].reward_address] == 36
     receipt = campaign.ledger.call(sessions[0].payment_key, Call(
         campaign.fsc_id, "raise_complaint", (sessions[0].ephemeral.pk, tx_ref, r, paid),
     ))
@@ -482,3 +527,102 @@ def test_policy_plaintexts_never_in_public_storage(group):
     )
     for policy in policies:
         assert encode_scalar(policy) not in public
+
+
+# -- storage declaration and atomicity ----------------------------------------------------------
+
+NOT_STORAGE = {"ledger", "contract_id", "address", "_policy_cache"}
+
+
+@pytest.mark.parametrize("which", ["psc", "fsc"])
+def test_storage_declaration_covers_every_attribute(group, which):
+    campaign, _, _ = run_full_campaign(group, seed=f"declaration-{which}")
+    contract = getattr(campaign, which)
+    cls = type(contract)
+    declared = cls.DEPLOYED + cls.STORAGE
+    assert len(set(declared)) == len(declared)
+    assert set(cls.HASHED_AS) <= set(declared)
+    assert set(declared) <= set(vars(contract))
+    assert set(vars(contract)) - set(declared) <= NOT_STORAGE
+    assert set(cls.CACHES) <= NOT_STORAGE
+
+
+@pytest.mark.parametrize("which", ["psc", "fsc"])
+def test_restore_undoes_a_change_to_every_storage_field(group, which):
+    campaign, _, _ = run_full_campaign(group, seed=f"rollback-{which}")
+    contract = getattr(campaign, which)
+    before = contract.state_bytes()
+    snap = contract.snapshot()
+    marker = object()
+    for name in contract.STORAGE:
+        value = getattr(contract, name)
+        if isinstance(value, list):
+            value.append(marker)
+        elif isinstance(value, dict):
+            value[marker] = marker
+        else:
+            setattr(contract, name, marker)
+    contract.restore(snap)
+    assert contract.state_bytes() == before
+    if which == "psc":
+        assert contract._policy_cache is None  # filled by the campaign's claims, dropped by rollback
+    else:
+        assert not hasattr(contract, "_policy_cache")
+
+
+_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=1 << 16),
+    st.sampled_from([1 << 64, (1 << 255) - 19]),
+    st.integers(min_value=-3, max_value=-1),  # codec rejects negative ints
+    st.floats(allow_nan=False, width=16),  # and floats
+    st.binary(max_size=40),
+    st.text(max_size=8) | st.sampled_from(["policy", "fund", "adv-0"]),
+    st.builds(Ciphertext, st.integers(0, 9), st.integers(0, 9)),
+    st.builds(Signature, st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)),
+)
+_value = st.recursive(_leaf, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6)
+_args = st.lists(_value, max_size=4).map(tuple)
+_METHODS = sorted({name for cls in (PolicyContract, FundContract) for name in vars(cls) if not name.startswith("__")})
+
+
+def test_random_calls_yield_one_receipt_and_revert_atomically(group):
+    campaign = Campaign(group, seed="fuzz", with_pool=True)
+    ledger = campaign.ledger
+    senders = [campaign.cf.account, campaign.advertisers[0].account, campaign.pool.members[0].account,
+               keygen(group, DetRng("fuzz-outsider"))]
+    call = st.tuples(
+        st.sampled_from([campaign.psc_id, campaign.fsc_id, "system", "no-such-contract"]),
+        st.sampled_from(_METHODS + ["transfer", "deploy", "no_such_method"]),
+        _args,
+        st.none() | _args,
+        st.sampled_from(range(len(senders))),
+    )
+    statuses = {"unencodable": 0, "ok": 0, "reverted": 0}
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(calls=st.lists(call, min_size=1, max_size=10))
+    def run(calls):
+        for contract_id, method, args, private_args, sender in calls:
+            try:
+                tx = ledger.make_tx(senders[sender], Call(contract_id, method, args), private_args)
+            except (TypeError, ValueError):
+                with pytest.raises((TypeError, ValueError)):
+                    codec.encode_args(args + (private_args or ()))
+                statuses["unencodable"] += 1
+                continue
+            state = (campaign.psc.state_bytes(), campaign.fsc.state_bytes(), dict(ledger.balances), set(ledger.contracts))
+            logged = len(ledger.tx_log)
+            receipt = ledger.submit(tx)
+            assert len(ledger.tx_log) == len(ledger.receipts) == logged + 1
+            assert ledger.receipts[-1] is receipt
+            statuses[receipt.status] += 1
+            if receipt.status == "reverted":
+                after = (campaign.psc.state_bytes(), campaign.fsc.state_bytes(), dict(ledger.balances), set(ledger.contracts))
+                assert after == state, receipt.revert_reason
+
+    run()
+    assert statuses["reverted"] > statuses["unencodable"] > 0
+    replayed = LedgerState.replay(group, ledger.genesis_json(), ledger.export_tx_log())
+    assert replayed.state_hash() == ledger.state_hash()

@@ -193,9 +193,9 @@ def _parallel_probe(chain_index: int, transfers: int) -> int:
 
 
 def test_run_parallel_chains_are_independent():
-    single = run_parallel(_parallel_probe, [(0, 20)], processes=False)
+    single = run_parallel(_parallel_probe, [(0, 20)])
     assert single == [20]
-    results = run_parallel(_parallel_probe, [(0, 20), (1, 20), (2, 20)], processes=True)
+    results = run_parallel(_parallel_probe, [(0, 20), (1, 20), (2, 20)])
     assert results == [20, 20, 20]
 
 
