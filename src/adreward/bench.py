@@ -1,10 +1,13 @@
 """Benchmark harness: client-side timings, batched settlement, and concurrency.
 
-Timing methodology: client-side operations are timed per user in isolation
-(each simulated user owns its device in production, so one user's crypto
-does not queue behind another's), while contract execution times come from
-the ledger receipts, which measure the serialized executor. Multi-chain
-scaling runs one process per chain because chains share no state.
+Timing methodology: client-side operations are timed in isolation, and the
+sizes being compared are interleaved within each run so that slow drift of
+the host's speed affects all of them alike. A cohort's campaign is opened by
+``scenario.open_campaign`` and its users are served one after another; a
+user's latency covers the user's crypto, signing, and the ledger's checks and
+execution of both of the user's transactions, but not the wait behind other
+users (``cohort_wall_s`` covers that). Multi-chain scaling runs one process
+per chain because chains share no state.
 """
 
 from __future__ import annotations
@@ -13,25 +16,16 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .actors import (
-    Advertiser,
-    CampaignFacilitator,
-    UserSession,
-    make_pool_registrants,
-    phase1_setup,
-    pool_selection,
-    user_claim,
-    user_payment_request,
-)
+from .actors import UserSession, user_claim, user_payment_request
 from .elgamal import decrypt_to_element, encrypt_vector, keygen, recover_plaintext
 from .encoding import DetRng
 from .group import default_group
 from .ledger import run_parallel
 from .payments import make_note, settle_batch, verify_batch
 from .proofs import prove_decryption
-from .scenario import ScenarioConfig, build_plan
+from .scenario import Campaign, ScenarioConfig, open_campaign
 
 SCHEMA_VERSION = 1
 
@@ -70,41 +64,63 @@ def bench_client(sizes: tuple[int, ...] = (64, 128, 256), runs: int = 10, seed: 
 
     Each run uses a fresh interaction vector and aggregate so the medians
     reflect typical plaintext-recovery depth rather than one arbitrary value.
+    The aggregates are computed before any timing. Each run then times every
+    size in turn, and a request-generation sample is the mean of several
+    repetitions, taken one size after another.
     """
     from .elgamal import Ciphertext, add_ciphertexts, scalar_mul_ciphertext
 
     group = default_group()
     rng = DetRng(f"bench-client/{seed}")
-    results = {}
+    prepared = {}
     for size in sizes:
         user = keygen(group, rng.child(f"user-{size}"))
         policies = [rng.randint(1, 255) for _ in range(size)]
         bound = size * 256 * 256
         group.bsgs_table(math.isqrt(bound) + 1)  # build outside the timed region
-
-        enc_samples = []
-        request_samples = []
+        per_run = []
         for run in range(runs):
             counts = [rng.randint(0, 255) for _ in range(size)]
-            enc_rng = rng.child(f"enc-{size}-{run}")
-            t0 = time.perf_counter()
-            vector = encrypt_vector(group, user.pk, counts, enc_rng)
-            enc_samples.append(time.perf_counter() - t0)
-
+            vector = encrypt_vector(group, user.pk, counts, rng.child(f"enc-{size}-{run}"))
             aggregate = Ciphertext(c1=1, c2=1)
             for p, ct in zip(policies, vector):
                 aggregate = add_ciphertexts(group, aggregate, scalar_mul_ciphertext(group, ct, p))
+            per_run.append((counts, aggregate))
+        prepared[size] = (user, bound, per_run)
+
+    reps = 5
+    enc_samples: dict[int, list[float]] = {size: [] for size in sizes}
+    request_samples: dict[int, list[float]] = {size: [] for size in sizes}
+    for run in range(runs):
+        for size in sizes:
+            user, _, per_run = prepared[size]
+            counts, _ = per_run[run]
+            enc_rng = rng.child(f"enc-{size}-{run}")
             t0 = time.perf_counter()
-            elem = decrypt_to_element(group, user.sk, aggregate)
-            m = recover_plaintext(group, elem, bound)
-            prove_decryption(group, user.sk, aggregate, m)
-            request_samples.append(time.perf_counter() - t0)
+            encrypt_vector(group, user.pk, counts, enc_rng)
+            enc_samples[size].append(time.perf_counter() - t0)
 
-        results[size] = {
-            "interaction_encryption_s": statistics.median(enc_samples),
-            "request_generation_s": statistics.median(request_samples),
+        # one request per size in turn, so a slow moment of the host hits every size alike
+        request_s = dict.fromkeys(sizes, 0.0)
+        for _ in range(reps):
+            for size in sizes:
+                user, bound, per_run = prepared[size]
+                _, aggregate = per_run[run]
+                t0 = time.perf_counter()
+                elem = decrypt_to_element(group, user.sk, aggregate)
+                m = recover_plaintext(group, elem, bound)
+                prove_decryption(group, user.sk, aggregate, m)
+                request_s[size] += time.perf_counter() - t0
+        for size in sizes:
+            request_samples[size].append(request_s[size] / reps)
+
+    results = {
+        size: {
+            "interaction_encryption_s": statistics.median(enc_samples[size]),
+            "request_generation_s": statistics.median(request_samples[size]),
         }
-
+        for size in sizes
+    }
     xs = [float(s) for s in sizes]
     return {
         "schema": SCHEMA_VERSION,
@@ -167,128 +183,61 @@ def bench_settlement(batches: tuple[int, ...] = (80, 200, 400, 800), runs: int =
 # -- concurrent users and multi-chain scaling --------------------------------------
 
 
-@dataclass
-class _CohortTiming:
-    encryption_s: list[float] = field(default_factory=list)
-    claim_exec_s: list[float] = field(default_factory=list)
-    request_gen_s: list[float] = field(default_factory=list)
-    request_exec_s: list[float] = field(default_factory=list)
-
-    def per_user_latencies(self) -> list[float]:
-        return [
-            sum(parts)
-            for parts in zip(self.encryption_s, self.claim_exec_s, self.request_gen_s, self.request_exec_s)
-        ]
-
-
-def _campaign_fixture(group, users: int, catalog: int, seed: str):
-    cfg = ScenarioConfig(
+def _bench_config(users: int, catalog: int) -> ScenarioConfig:
+    return ScenarioConfig(
         name="bench", seed=0, num_ads=catalog, num_advertisers=min(4, catalog),
         users=users, policy_max=255, click_cap=15,
         pool_registered=6, pool_expected=3, fee=10,
     )
-    rng = DetRng(seed)
-    plan = build_plan(cfg, rng.child("plan"))
-    cf = CampaignFacilitator(group, plan, rng.child("cf"))
-    advertisers = [Advertiser(group, a, plan, rng.child(f"adv-{a}")) for a in plan.advertiser_ids()]
-    fee_shares = plan.fee_shares()
-    balances = {adv.address: plan.budget_of(adv.adv_id) + fee_shares[adv.adv_id] for adv in advertisers}
-    from .ledger import LedgerState
 
-    ledger = LedgerState.genesis(group, seed, balances, "bench-chain")
-    psc_id, fsc_id = phase1_setup(group, ledger, cf, advertisers, "bench")
-    registrants = make_pool_registrants(group, 6, rng.child("pool"))
-    pool = pool_selection(group, ledger, psc_id, cf, registrants, 3, rng.child("dkg"))
-    sessions = [
-        UserSession(group, i, tuple(rng.child(f"u{i}").randint(0, 15) for _ in range(catalog)), rng.child(f"s{i}"))
-        for i in range(users)
-    ]
-    return cfg, ledger, cf, psc_id, fsc_id, pool, sessions
+
+def _serve_user(cfg: ScenarioConfig, campaign: Campaign, session: UserSession) -> None:
+    """One user's reward claim and payment request; a rejected receipt raises."""
+    group = campaign.ledger.group
+    user_claim(group, campaign.ledger, campaign.psc_id, session, campaign.psc.pool_pk)
+    user_payment_request(group, campaign.ledger, campaign.psc_id, session, cfg.recovery_bound)
 
 
 def run_cohort(users: int, catalog: int = 256, seed: str = "bench-cohort") -> dict:
-    """One cohort of concurrent reward claims; returns per-user latency stats."""
-    from concurrent.futures import ThreadPoolExecutor
+    """One cohort of reward claims served in user order; returns per-user latency stats.
 
-    group = default_group()
-    cfg, ledger, cf, psc_id, fsc_id, pool, sessions = _campaign_fixture(group, users, catalog, f"{seed}/{users}/{catalog}")
-    psc = ledger.contracts[psc_id]
-    timing = _CohortTiming()
+    A user's latency is the wall time of their claim and payment request: the
+    user's crypto and signing plus the ledger's checks and execution of both
+    transactions. Users are served one after another, so it leaves out the
+    wait behind other users, which ``cohort_wall_s`` covers.
+    """
+    cfg = _bench_config(users, catalog)
+    campaign = open_campaign(cfg, f"{seed}/{users}/{catalog}")
+    latencies = []
     cohort_start = time.perf_counter()
-
-    # client-side encryption, timed per user in isolation
-    prepared = []
-    for session in sessions:
+    for session in campaign.sessions:
         t0 = time.perf_counter()
-        enc_vec = tuple(encrypt_vector(group, session.ephemeral.pk, list(session.counts), session.enc_rng))
-        enc_vec_prime = tuple(encrypt_vector(group, psc.pool_pk, list(session.counts), session.enc_rng))
-        timing.encryption_s.append(time.perf_counter() - t0)
-        prepared.append((session, enc_vec, enc_vec_prime))
-
-    def submit_claim(entry):
-        session, enc_vec, enc_vec_prime = entry
-        from .ledger import Call
-
-        receipt = ledger.call(session.ephemeral, Call(
-            psc_id, "compute_aggregate", (session.ephemeral.pk, enc_vec, enc_vec_prime),
-        ))
-        session.aggregate, session.aggregate_sig = ledger.view(psc_id, "get_aggregate", session.ephemeral.pk)
-        return receipt.exec_time
-
-    with ThreadPoolExecutor(max_workers=min(users, 32)) as pool_exec:
-        timing.claim_exec_s = list(pool_exec.map(submit_claim, prepared))
-
-    # request generation per user in isolation
-    requests = []
-    for session in sessions:
-        t0 = time.perf_counter()
-        elem = decrypt_to_element(group, session.ephemeral.sk, session.aggregate)
-        session.dec_result = recover_plaintext(group, elem, cfg.recovery_bound)
-        proof = prove_decryption(group, session.ephemeral.sk, session.aggregate, session.dec_result)
-        timing.request_gen_s.append(time.perf_counter() - t0)
-        requests.append((session, proof))
-
-    def submit_request(entry):
-        session, proof = entry
-        from .ledger import Call
-
-        private = (session.ephemeral.pk, session.dec_result, session.aggregate_sig, proof, session.reward_address)
-        receipt = ledger.call(session.payment_key, Call(psc_id, "payment_request", ()), private_args=private)
-        return receipt.exec_time
-
-    with ThreadPoolExecutor(max_workers=min(users, 32)) as pool_exec:
-        timing.request_exec_s = list(pool_exec.map(submit_request, requests))
-
+        _serve_user(cfg, campaign, session)
+        latencies.append(time.perf_counter() - t0)
     cohort_wall_s = time.perf_counter() - cohort_start
-    latencies = timing.per_user_latencies()
     return {
         "users": users,
         "catalog": catalog,
         "per_user_latency_median_s": statistics.median(latencies),
         "per_user_latency_mean_s": statistics.fmean(latencies),
         "cohort_wall_s": cohort_wall_s,
-        "queued": len(ledger.contracts[fsc_id].payment_queue),
+        "queued": len(campaign.fsc.payment_queue),
+        "state_hash": campaign.ledger.state_hash(),
     }
 
 
 def _chain_worker(chain_index: int, catalog: int, budget_s: float, seed: str) -> int:
     """Process reward claims on one chain until the wall-clock budget runs out."""
-    group = default_group()
-    batch = 8
+    cfg = _bench_config(8, catalog)
     processed = 0
     deadline = time.perf_counter() + budget_s
     round_no = 0
     while time.perf_counter() < deadline:
-        _, ledger, cf, psc_id, fsc_id, pool, sessions = _campaign_fixture(
-            group, batch, catalog, f"{seed}/chain{chain_index}/round{round_no}",
-        )
-        psc = ledger.contracts[psc_id]
-        bound = catalog * 256 * 15
-        for session in sessions:
+        campaign = open_campaign(cfg, f"{seed}/chain{chain_index}/round{round_no}")
+        for session in campaign.sessions:
             if time.perf_counter() >= deadline:
                 break
-            user_claim(group, ledger, psc_id, session, psc.pool_pk)
-            user_payment_request(group, ledger, psc_id, session, bound)
+            _serve_user(cfg, campaign, session)
             processed += 1
         round_no += 1
     return processed

@@ -40,10 +40,18 @@ def _int_bytes(value: int) -> bytes:
     return length.to_bytes(2, "big") + value.to_bytes(length, "big")
 
 
+def _take(data: bytes, pos: int, length: int) -> tuple[bytes, int]:
+    """The next ``length`` bytes and the position after them; never reads past the end."""
+    end = pos + length
+    if end > len(data):
+        raise ValueError(f"truncated input: {length} bytes needed at offset {pos}, {len(data) - pos} left")
+    return data[pos:end], end
+
+
 def _read_int(data: bytes, pos: int) -> tuple[int, int]:
-    length = int.from_bytes(data[pos:pos + 2], "big")
-    pos += 2
-    return int.from_bytes(data[pos:pos + length], "big"), pos + length
+    length, pos = _take(data, pos, 2)
+    body, pos = _take(data, pos, int.from_bytes(length, "big"))
+    return int.from_bytes(body, "big"), pos
 
 
 def _blob(data: bytes) -> bytes:
@@ -51,9 +59,8 @@ def _blob(data: bytes) -> bytes:
 
 
 def _read_blob(data: bytes, pos: int) -> tuple[bytes, int]:
-    length = int.from_bytes(data[pos:pos + 4], "big")
-    pos += 4
-    return data[pos:pos + length], pos + length
+    length, pos = _take(data, pos, 4)
+    return _take(data, pos, int.from_bytes(length, "big"))
 
 
 def encode_value(value) -> bytes:
@@ -100,12 +107,12 @@ def encode_value(value) -> bytes:
 
 
 def _decode_at(data: bytes, pos: int):
-    tag = data[pos]
-    pos += 1
+    (tag,), pos = _take(data, pos, 1)
     if tag == _TAG_NONE:
         return None, pos
     if tag == _TAG_BOOL:
-        return data[pos] == 1, pos + 1
+        flag, pos = _take(data, pos, 1)
+        return flag == b"\x01", pos
     if tag == _TAG_INT:
         return _read_int(data, pos)
     if tag == _TAG_BYTES:
@@ -114,10 +121,9 @@ def _decode_at(data: bytes, pos: int):
         blob, pos = _read_blob(data, pos)
         return blob.decode(), pos
     if tag == _TAG_SEQ:
-        count = int.from_bytes(data[pos:pos + 4], "big")
-        pos += 4
+        count, pos = _take(data, pos, 4)
         items = []
-        for _ in range(count):
+        for _ in range(int.from_bytes(count, "big")):
             item, pos = _decode_at(data, pos)
             items.append(item)
         return tuple(items), pos
@@ -172,7 +178,11 @@ def _decode_at(data: bytes, pos: int):
 
 
 def decode_value(data: bytes):
-    value, pos = _decode_at(data, 0)
+    """Decode one value; malformed, truncated or too deeply nested input raises ValueError."""
+    try:
+        value, pos = _decode_at(data, 0)
+    except RecursionError:
+        raise ValueError("value nested too deeply") from None
     if pos != len(data):
         raise ValueError("trailing bytes after decoded value")
     return value

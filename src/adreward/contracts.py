@@ -16,6 +16,8 @@ are derived from these two tuples by ``_snapshot``, ``_restore`` and
 key-sorted items, a list as a tuple, anything else as is) unless ``HASHED_AS``
 maps its name to another encoder. ``CACHES`` names validator-local working
 memory that is no part of storage: rollback drops it and the hash never sees it.
+``ENTRY_POINTS`` names the methods a transaction may call; the ledger reverts a
+call to any other attribute, views included.
 """
 
 from __future__ import annotations
@@ -110,6 +112,10 @@ class PolicyContract:
         # consensus-pool draw state
         "registration_open", "registry", "epsilon", "draw_expected", "max_draw_value", "winners",
         "pool_pk", "pool_threshold", "pool_share_commitments", "pool_sign_pks",
+    )
+    ENTRY_POINTS = (
+        "store_policy", "store_encrypted_keys", "compute_aggregate", "payment_request",
+        "register_draw", "close_registration", "publish_win", "publish_pool_key",
     )
     HASHED_AS = {
         "enc_policies": lambda policies: tuple(p if p is not None else b"" for p in policies),
@@ -330,7 +336,12 @@ class FundContract:
         "refund_deficit", "campaign_complete", "fees_paid", "cf_flagged_dishonest", "state_failed",
         "complaints",
     )
-    HASHED_AS = {"payment_queue": lambda queue: tuple(queue.items())}  # insertion order
+    ENTRY_POINTS = (
+        "store_adv_id", "store_funds", "post_analytics", "store_aggr_clicks", "settlement_request",
+        "post_settlement_batch", "payment_processed", "pay_processing_fees", "raise_complaint",
+        "claim_insufficient_refund",
+    )
+    HASHED_AS = {"payment_queue": lambda queue: tuple(queue.items()), "paid": tuple}  # insertion order
     CACHES = ()
     # Bound in each class body rather than inherited: see PolicyContract.
     snapshot, restore, state_bytes = _snapshot, _restore, _state_bytes
@@ -353,7 +364,7 @@ class FundContract:
         self.escrow: dict[str, int] = {}
         self.escrow_sources: dict[str, bytes] = {}  # refunds return to the funding account
         self.payment_queue: dict[bytes, int] = {}  # addr -> amount, in queueing order
-        self.paid: list[bytes] = []
+        self.paid: dict[bytes, None] = {}  # a set of addresses, in payment order
         self.aggr_clicks: tuple[int, ...] = tuple([0] * catalog_size)
         self.posted_aggregate_cts: tuple = ()
         self.posted_partials: dict[int, tuple] = {}
@@ -468,7 +479,7 @@ class FundContract:
             raise UnknownAddr("address was never queued")
         if addr in self.paid:
             return  # idempotent re-mark
-        self.paid.append(addr)
+        self.paid[addr] = None
         if len(self.paid) == len(self.payment_queue):
             self.campaign_complete = True
             self._refund_advertisers(ctx)

@@ -221,10 +221,9 @@ class LedgerState:
         contract = self.contracts.get(call.contract)
         if contract is None:
             raise Revert(f"unknown contract {call.contract}")
-        method = getattr(contract, call.method, None)
-        if method is None or call.method.startswith("_"):
+        if call.method not in contract.ENTRY_POINTS:
             raise Revert(f"unknown method {call.method}")
-        return method(ctx, *call.args)
+        return getattr(contract, call.method)(ctx, *call.args)
 
     def _system_call(self, ctx: ExecutionContext, call: Call):
         if call.method == "transfer":

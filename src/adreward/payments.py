@@ -10,7 +10,6 @@ fixed number of exponentiations rather than the batch size.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .encoding import dhash, encode_element, encode_scalar, hash_to_int
@@ -125,39 +124,6 @@ def verify_batch(group: PrimeOrderGroup, batch: SettlementBatch) -> bool:
     lhs = group.power(group.h, batch.response)
     rhs = batch.proof_commitment * group.power(blinded, batch.challenge) % p
     return lhs == rhs
-
-
-class NoteRegistry:
-    """Public log of settled notes, keyed by tx_ref. Amounts never appear here."""
-
-    def __init__(self):
-        self._notes: dict[bytes, PaymentNote] = {}
-
-    def add(self, note: PaymentNote) -> None:
-        self._notes[note.tx_ref] = note
-
-    def has(self, tx_ref: bytes) -> bool:
-        return tx_ref in self._notes
-
-    def get(self, tx_ref: bytes) -> PaymentNote:
-        note = self._notes.get(tx_ref)
-        if note is None:
-            raise UnknownTxRef(f"no note {tx_ref.hex()}")
-        return note
-
-    def __len__(self) -> int:
-        return len(self._notes)
-
-    def to_json_lines(self) -> str:
-        lines = []
-        for tx_ref, note in self._notes.items():
-            lines.append(json.dumps({
-                "tx_ref": tx_ref.hex(),
-                "recipient": note.recipient.hex(),
-                "commitment": encode_element(note.commitment).hex(),
-                "range_tag": note.range_tag,
-            }, sort_keys=True))
-        return "\n".join(lines)
 
 
 class PayerLedger:

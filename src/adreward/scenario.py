@@ -20,6 +20,7 @@ from .actors import (
     CampaignFacilitator,
     CampaignPlan,
     CatalogEntry,
+    PoolState,
     UserSession,
     advertiser_verify_analytics,
     analytics_round,
@@ -232,47 +233,85 @@ class CampaignReport:
         }
 
 
-def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
-    """Execute one full campaign on a fresh chain and check every invariant."""
+@dataclass
+class Campaign:
+    """An opened campaign: its actors, a ledger past phase 1 and the pool draw, and its users."""
+
+    rng: DetRng
+    plan: CampaignPlan
+    cf: CampaignFacilitator
+    advertisers: list[Advertiser]
+    balances: dict[bytes, int]
+    ledger: LedgerState
+    psc_id: str
+    fsc_id: str
+    pool: PoolState
+    sessions: list[UserSession]
+    timings: dict[str, float]
+
+    @property
+    def psc(self):
+        return self.ledger.contracts[self.psc_id]
+
+    @property
+    def fsc(self):
+        return self.ledger.contracts[self.fsc_id]
+
+
+def open_campaign(cfg: ScenarioConfig, seed: str, chain_index: int = 0) -> Campaign:
+    """Fund a fresh chain, run phase 1 and the pool draw, and create one session per user.
+
+    ``seed`` drives every random choice and the validator key; the chain is
+    ``chain-{chain_index}`` and its contracts are ``c{chain_index}-*``.
+    """
     group = default_group()
-    seed_rng = DetRng(f"scenario/{cfg.seed}/chain-{chain_index}")
-    report = CampaignReport(chain_id=f"chain-{chain_index}")
-    timings = report.timings
+    rng = DetRng(seed)
+    timings: dict[str, float] = {}
     started = time.perf_counter()
 
-    plan = build_plan(cfg, seed_rng.child("plan"))
-    interactions = build_interactions(cfg, seed_rng.child("interactions"))
-    cf = CampaignFacilitator(group, plan, seed_rng.child("cf"))
-    advertisers = [Advertiser(group, adv_id, plan, seed_rng.child(f"adv-{adv_id}")) for adv_id in plan.advertiser_ids()]
+    plan = build_plan(cfg, rng.child("plan"))
+    interactions = build_interactions(cfg, rng.child("interactions"))
+    cf = CampaignFacilitator(group, plan, rng.child("cf"))
+    advertisers = [Advertiser(group, adv_id, plan, rng.child(f"adv-{adv_id}")) for adv_id in plan.advertiser_ids()]
     fee_shares = plan.fee_shares()
     balances = {
         adv.address: plan.budget_of(adv.adv_id) + fee_shares[adv.adv_id]
         for adv in advertisers
     }
-    ledger = LedgerState.genesis(group, f"scenario/{cfg.seed}/chain-{chain_index}", balances, f"chain-{chain_index}")
-    deposits_total = sum(balances.values())
-
+    ledger = LedgerState.genesis(group, seed, balances, f"chain-{chain_index}")
     psc_id, fsc_id = phase1_setup(group, ledger, cf, advertisers, f"c{chain_index}")
     timings["phase1_s"] = time.perf_counter() - started
 
     mark = time.perf_counter()
-    registrants = make_pool_registrants(group, cfg.pool_registered, seed_rng.child("pool"))
+    registrants = make_pool_registrants(group, cfg.pool_registered, rng.child("pool"))
     pool = pool_selection(
         group, ledger, psc_id, cf, registrants, cfg.pool_expected,
-        seed_rng.child("dkg"), threshold=cfg.pool_threshold,
+        rng.child("dkg"), threshold=cfg.pool_threshold,
     )
     timings["pool_selection_s"] = time.perf_counter() - mark
 
-    psc = ledger.contracts[psc_id]
-    fsc = ledger.contracts[fsc_id]
     sessions = [
-        UserSession(group, user_id, counts, seed_rng.child(f"session-{user_id}"))
+        UserSession(group, user_id, counts, rng.child(f"session-{user_id}"))
         for user_id, counts in enumerate(interactions)
     ]
+    return Campaign(rng, plan, cf, advertisers, balances, ledger, psc_id, fsc_id, pool, sessions, timings)
+
+
+def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
+    """Execute one full campaign on a fresh chain and check every invariant."""
+    group = default_group()
+    started = time.perf_counter()
+    campaign = open_campaign(cfg, f"scenario/{cfg.seed}/chain-{chain_index}", chain_index)
+    plan, cf, advertisers, ledger, sessions = campaign.plan, campaign.cf, campaign.advertisers, campaign.ledger, campaign.sessions
+    psc_id, fsc_id, fsc = campaign.psc_id, campaign.fsc_id, campaign.fsc
+    report = CampaignReport(chain_id=ledger.chain_id, timings=campaign.timings)
+    timings = report.timings
+    fee_shares = plan.fee_shares()
+    deposits_total = sum(campaign.balances.values())
 
     mark = time.perf_counter()
     for session in sessions:
-        user_claim(group, ledger, psc_id, session, psc.pool_pk)
+        user_claim(group, ledger, psc_id, session, campaign.psc.pool_pk)
     timings["claims_s"] = time.perf_counter() - mark
 
     mark = time.perf_counter()
@@ -282,7 +321,7 @@ def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
 
     mark = time.perf_counter()
     click_bound = cfg.users * cfg.click_cap
-    totals = analytics_round(group, ledger, psc_id, fsc_id, pool, click_bound, seed_rng.child("analytics"))
+    totals = analytics_round(group, ledger, psc_id, fsc_id, campaign.pool, click_bound, campaign.rng.child("analytics"))
     timings["analytics_s"] = time.perf_counter() - mark
 
     mark = time.perf_counter()
@@ -296,7 +335,7 @@ def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
         # shortfall must exceed the fee slack before refunds feel it
         expected_refunds = deposits_total - sum(fsc.payment_queue.values()) - cfg.fee
         overdraw = cfg.fee + min(cfg.misbehavior_delta, max(expected_refunds, 0))
-    outcome = cf_settle(group, ledger, fsc_id, cf, seed_rng.child("settle"), underpay=underpay, overdraw=overdraw)
+    outcome = cf_settle(group, ledger, fsc_id, cf, campaign.rng.child("settle"), underpay=underpay, overdraw=overdraw)
     for session in sessions:
         if session.reward_address in outcome.openings:
             session.opening = outcome.openings[session.reward_address]
@@ -314,7 +353,7 @@ def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
         for s in sessions
     }
     payouts = {s.user_id: fsc.payment_queue.get(s.reward_address, 0) for s in sessions}
-    oracle_totals = [sum(v[i] for v in interactions) for i in range(cfg.num_ads)]
+    oracle_totals = [sum(s.counts[i] for s in sessions) for i in range(cfg.num_ads)]
 
     report.payouts = payouts
     report.oracle_payouts = oracle_payouts
@@ -358,7 +397,7 @@ def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
         ))
         refund_identity = all(
             fsc.refunds_paid[adv.adv_id]
-            == balances[adv.address]
+            == campaign.balances[adv.address]
             - sum(plan.policies[i] * fsc.aggr_clicks[i] for i in adv.ad_indices)
             - fee_shares[adv.adv_id]
             for adv in advertisers

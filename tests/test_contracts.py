@@ -570,6 +570,25 @@ def test_restore_undoes_a_change_to_every_storage_field(group, which):
         assert not hasattr(contract, "_policy_cache")
 
 
+def test_only_declared_entry_points_are_reachable_by_a_transaction(group):
+    campaign, sessions, _ = run_full_campaign(group, seed="entry-points")
+    ledger = campaign.ledger
+    refused = set()
+    for contract in (campaign.psc, campaign.fsc):
+        assert all(callable(getattr(contract, name)) for name in contract.ENTRY_POINTS)
+        state = (campaign.psc.state_bytes(), campaign.fsc.state_bytes(), dict(ledger.balances))
+        for name in dir(contract):
+            if name.startswith("_") or name in contract.ENTRY_POINTS:
+                continue
+            # a view such as get_aggregate would succeed with this argument if it were reachable
+            receipt = ledger.call(campaign.cf.account, Call(contract.contract_id, name, (sessions[0].ephemeral.pk,)))
+            assert (receipt.status, receipt.revert_reason) == ("reverted", f"Revert: unknown method {name}")
+            refused.add(name)
+        assert (campaign.psc.state_bytes(), campaign.fsc.state_bytes(), dict(ledger.balances)) == state
+    assert refused >= {"snapshot", "restore", "state_bytes", "storage_json", "draw_config",
+                       "note_log_json_lines", "ledger", "get_aggregate"}
+
+
 _leaf = st.one_of(
     st.none(),
     st.booleans(),

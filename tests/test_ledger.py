@@ -1,8 +1,10 @@
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from adreward.codec import decode_args, encode_args
+from adreward.codec import decode_args, decode_value, encode_args, encode_value
 from adreward.elgamal import keygen
 from adreward.encoding import DetRng
 from adreward.errors import BadSequence, BadSignature, InsufficientFunds
@@ -178,6 +180,47 @@ def test_codec_round_trips_every_supported_type(group, rng):
     for value in values:
         assert decode_args(encode_args((value,)))[0] == value
     assert decode_args(encode_args((batch,)))[0] == batch
+
+
+def _encodable():
+    from adreward.dkg import PartialDecryption
+    from adreward.elgamal import Ciphertext
+    from adreward.payments import PaymentNote
+    from adreward.proofs import DecryptionProof, DleqProof, Signature
+    from adreward.vrf import VrfOutput
+
+    ints = st.integers(min_value=0, max_value=1 << 300)
+    dleq = st.builds(DleqProof, ints, ints, ints, ints)
+    leaf = st.one_of(
+        st.none(), st.booleans(), ints, st.binary(max_size=40), st.text(max_size=8),
+        st.builds(Ciphertext, ints, ints), st.builds(Signature, ints, ints, ints),
+        st.builds(DecryptionProof, ints, ints, ints, ints), dleq,
+        st.builds(VrfOutput, ints, ints, dleq), st.builds(PartialDecryption, ints, ints, dleq),
+        st.builds(PaymentNote, st.binary(max_size=32), st.binary(max_size=20), ints, ints),
+        st.builds(WrappedKey, st.builds(Ciphertext, ints, ints), st.binary(max_size=40)),
+    )
+    return st.recursive(leaf, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_encodable())
+def test_codec_rejects_every_strict_prefix(value):
+    data = encode_value(value)
+    assert decode_value(data) == value
+    for cut in range(len(data)):
+        with pytest.raises(ValueError):
+            decode_value(data[:cut])
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.binary(max_size=64))
+@example(data=bytes([0x04, 0, 0, 0, 1]) * 5000)  # nested deeper than the interpreter's recursion limit
+@example(data=bytes([0x02, 0, 0, 0, 9]) + b"short")
+def test_codec_decodes_arbitrary_bytes_or_raises_value_error(data):
+    try:
+        decode_value(data)
+    except ValueError:
+        pass
 
 
 def _parallel_probe(chain_index: int, transfers: int) -> int:

@@ -5,7 +5,6 @@ import pytest
 from adreward.encoding import DetRng, encode_element
 from adreward.errors import AmountOutOfRange, TotalMismatch, UnknownTxRef
 from adreward.payments import (
-    NoteRegistry,
     PayerLedger,
     SettlementBatch,
     make_note,
@@ -126,30 +125,27 @@ def test_commitment_byte_histograms_indistinguishable(group):
 def test_complaint_linkage_via_payer_ledger(group):
     entries = _notes(group, 12, seed="linkage")
     payer = PayerLedger()
-    registry = NoteRegistry()
+    published = {}
     for note, amount, r in entries:
         payer.record(note, amount, r)
-        registry.add(note)
+        published[note.tx_ref] = note
     for note, amount, r in entries:
         recipient, recorded_amount, recorded_r = payer.opening_for(note.tx_ref)
         assert recipient == note.recipient
-        assert verify_opening(group, registry.get(note.tx_ref), recorded_r, recorded_amount)
-        assert not verify_opening(group, registry.get(note.tx_ref), recorded_r, recorded_amount + 1)
+        assert verify_opening(group, published[note.tx_ref], recorded_r, recorded_amount)
+        assert not verify_opening(group, published[note.tx_ref], recorded_r, recorded_amount + 1)
     with pytest.raises(UnknownTxRef):
         payer.opening_for(b"\x00" * 32)
-    with pytest.raises(UnknownTxRef):
-        registry.get(b"\x00" * 32)
 
 
 def test_note_log_exposes_only_public_fields(group):
     import json
 
-    entries = _notes(group, 5, seed="note-log")
-    registry = NoteRegistry()
-    for note, _, _ in entries:
-        registry.add(note)
-    lines = registry.to_json_lines().splitlines()
-    assert len(lines) == 5
+    from test_contracts import run_full_campaign
+
+    campaign, sessions, outcome = run_full_campaign(group, seed="note-log")
+    lines = campaign.fsc.note_log_json_lines().splitlines()
+    assert len(lines) == len(sessions) == len(outcome.batch.notes)
     for line in lines:
         record = json.loads(line)
-        assert set(record) == {"tx_ref", "recipient", "commitment", "range_tag"}
+        assert set(record) == {"tx_ref", "recipient", "commitment"}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adreward.bench import BenchmarkReport
+from adreward.bench import BenchmarkReport, run_cohort
 from adreward.encoding import DetRng
 from adreward.scenario import ScenarioConfig, build_interactions, build_plan, run_campaign, stream_contains
 
@@ -96,6 +96,13 @@ def test_benchmark_report_invariants():
             end_to_end_claim_s=0, batch_proof_gen_s=0, batch_verify_s=0,
             users_per_day=0, users_per_month=0, extrapolation_basis="",
         )
+
+
+def test_cohort_ends_in_the_same_state_for_the_same_seed():
+    first = run_cohort(6, catalog=4, seed="cohort-determinism")
+    second = run_cohort(6, catalog=4, seed="cohort-determinism")
+    assert first["queued"] == 6
+    assert first["state_hash"] == second["state_hash"]
 
 
 # a two-letter alphabet makes needles occur often, and across chunk boundaries
