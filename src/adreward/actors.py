@@ -460,7 +460,6 @@ def cf_settle(
     rng: DetRng,
     underpay: dict[bytes, int] | None = None,
     overdraw: int = 0,
-    range_tag: int | None = None,
 ) -> SettlementOutcome:
     """Withdraw the settlement total and issue one confidential note per request.
 
@@ -481,7 +480,7 @@ def cf_settle(
     underpay = underpay or {}
     entries = []
     openings = {}
-    tag = range_tag if range_tag is not None else _note_range(queue)
+    tag = _note_range(queue)
     for addr, amount in queue:
         paid = amount - underpay.get(addr, 0)
         r = group.random_scalar(rng.child(f"note-{addr.hex()}"))

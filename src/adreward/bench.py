@@ -7,7 +7,8 @@ the host's speed affects all of them alike. A cohort's campaign is opened by
 user's latency covers the user's crypto, signing, and the ledger's checks and
 execution of both of the user's transactions, but not the wait behind other
 users (``cohort_wall_s`` covers that). Multi-chain scaling runs one process
-per chain because chains share no state.
+per chain, because chains share no state, and at most one per core; each
+scaling point reports how many ran at once as ``processes``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .actors import UserSession, user_claim, user_payment_request
 from .elgamal import decrypt_to_element, encrypt_vector, keygen, recover_plaintext
 from .encoding import DetRng
 from .group import default_group
-from .ledger import run_parallel
+from .ledger import parallel_processes, run_parallel
 from .payments import make_note, settle_batch, verify_batch
 from .proofs import prove_decryption
 from .scenario import Campaign, ScenarioConfig, open_campaign
@@ -259,6 +260,7 @@ def bench_concurrent(
         scaling[chains] = {
             "users_processed": sum(counts),
             "per_chain": list(counts),
+            "processes": parallel_processes(chains),
             "budget_s": budget_s,
         }
     base = scaling[chain_counts[0]]["users_processed"] or 1

@@ -3,12 +3,21 @@
 Contract call arguments, private-input envelopes, and the transaction log all
 round-trip through these bytes, which is what makes replay-from-genesis and
 state hashing bit-exact.
+
+Primitives (None, bool, int, bytes, str, sequences) have their own tags. Every
+other value is a record: ``RECORDS`` maps its tag to its dataclass and to one
+kind per dataclass field, in declaration order, and both directions walk that
+layout. The kinds are ``i`` (unsigned int), ``b`` (blob), ``c`` (an ElGamal
+ciphertext written inline as its two ints) and ``v`` (a nested tagged value).
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from .dkg import PartialDecryption
 from .elgamal import Ciphertext
+from .hybrid import WrappedKey
 from .payments import PaymentNote, SettlementBatch
 from .proofs import DecryptionProof, DleqProof, Signature
 from .vrf import VrfOutput
@@ -18,19 +27,19 @@ _TAG_INT = 0x01
 _TAG_BYTES = 0x02
 _TAG_STR = 0x03
 _TAG_SEQ = 0x04
-_TAG_CIPHERTEXT = 0x05
-_TAG_SIGNATURE = 0x06
-_TAG_DECRYPT_PROOF = 0x07
-_TAG_DLEQ = 0x08
-_TAG_WRAPPED = 0x09
-_TAG_VRF_OUT = 0x0A
-_TAG_PARTIAL = 0x0B
-_TAG_NOTE = 0x0C
 _TAG_BOOL = 0x0D
-_TAG_BATCH = 0x0E
 
-# WrappedKey imported lazily to keep the module import graph acyclic
-from .hybrid import WrappedKey  # noqa: E402
+RECORDS = {
+    0x05: (Ciphertext, "ii"),
+    0x06: (Signature, "iii"),
+    0x07: (DecryptionProof, "iiii"),
+    0x08: (DleqProof, "iiii"),
+    0x09: (WrappedKey, "cb"),
+    0x0A: (VrfOutput, "iiv"),
+    0x0B: (PartialDecryption, "iiv"),
+    0x0C: (PaymentNote, "bbii"),
+    0x0E: (SettlementBatch, "viiii"),
+}
 
 
 def _int_bytes(value: int) -> bytes:
@@ -63,6 +72,16 @@ def _read_blob(data: bytes, pos: int) -> tuple[bytes, int]:
     return _take(data, pos, int.from_bytes(length, "big"))
 
 
+def _ciphertext_bytes(ct) -> bytes:
+    return _int_bytes(ct.c1) + _int_bytes(ct.c2)
+
+
+def _read_ciphertext(data: bytes, pos: int) -> tuple[Ciphertext, int]:
+    c1, pos = _read_int(data, pos)
+    c2, pos = _read_int(data, pos)
+    return Ciphertext(c1, c2), pos
+
+
 def encode_value(value) -> bytes:
     if value is None:
         return bytes([_TAG_NONE])
@@ -77,33 +96,13 @@ def encode_value(value) -> bytes:
     if isinstance(value, (tuple, list)):
         body = b"".join(encode_value(item) for item in value)
         return bytes([_TAG_SEQ]) + len(value).to_bytes(4, "big") + body
-    if isinstance(value, Ciphertext):
-        return bytes([_TAG_CIPHERTEXT]) + _int_bytes(value.c1) + _int_bytes(value.c2)
-    if isinstance(value, Signature):
-        return bytes([_TAG_SIGNATURE]) + _int_bytes(value.challenge) + _int_bytes(value.response) + _int_bytes(value.signer_pk)
-    if isinstance(value, DecryptionProof):
-        return (bytes([_TAG_DECRYPT_PROOF]) + _int_bytes(value.commitment_a) + _int_bytes(value.commitment_b)
-                + _int_bytes(value.challenge) + _int_bytes(value.response))
-    if isinstance(value, DleqProof):
-        return (bytes([_TAG_DLEQ]) + _int_bytes(value.commitment_a) + _int_bytes(value.commitment_b)
-                + _int_bytes(value.challenge) + _int_bytes(value.response))
-    if isinstance(value, WrappedKey):
-        return (bytes([_TAG_WRAPPED]) + _int_bytes(value.kem_ciphertext.c1) + _int_bytes(value.kem_ciphertext.c2)
-                + _blob(value.sealed_payload))
-    if isinstance(value, VrfOutput):
-        return (bytes([_TAG_VRF_OUT]) + _int_bytes(value.rand) + _int_bytes(value.gamma)
-                + encode_value(value.proof))
-    if isinstance(value, PartialDecryption):
-        return (bytes([_TAG_PARTIAL]) + _int_bytes(value.participant_id) + _int_bytes(value.d_i)
-                + encode_value(value.proof))
-    if isinstance(value, PaymentNote):
-        return (bytes([_TAG_NOTE]) + _blob(value.tx_ref) + _blob(value.recipient)
-                + _int_bytes(value.commitment) + _int_bytes(value.range_tag))
-    if isinstance(value, SettlementBatch):
-        return (bytes([_TAG_BATCH]) + encode_value(value.notes) + _int_bytes(value.total)
-                + _int_bytes(value.proof_commitment) + _int_bytes(value.challenge)
-                + _int_bytes(value.response))
-    raise TypeError(f"cannot encode {type(value).__name__}")
+    layout = _WRITERS.get(type(value))
+    if layout is None:
+        raise TypeError(f"cannot encode {type(value).__name__}")
+    out, fields = layout  # out starts as the record's tag byte
+    for name, write in fields:
+        out += write(getattr(value, name))
+    return out
 
 
 def _decode_at(data: bytes, pos: int):
@@ -127,54 +126,25 @@ def _decode_at(data: bytes, pos: int):
             item, pos = _decode_at(data, pos)
             items.append(item)
         return tuple(items), pos
-    if tag == _TAG_CIPHERTEXT:
-        c1, pos = _read_int(data, pos)
-        c2, pos = _read_int(data, pos)
-        return Ciphertext(c1=c1, c2=c2), pos
-    if tag == _TAG_SIGNATURE:
-        challenge, pos = _read_int(data, pos)
-        response, pos = _read_int(data, pos)
-        signer, pos = _read_int(data, pos)
-        return Signature(challenge=challenge, response=response, signer_pk=signer), pos
-    if tag == _TAG_DECRYPT_PROOF or tag == _TAG_DLEQ:
-        a, pos = _read_int(data, pos)
-        b, pos = _read_int(data, pos)
-        challenge, pos = _read_int(data, pos)
-        response, pos = _read_int(data, pos)
-        cls = DecryptionProof if tag == _TAG_DECRYPT_PROOF else DleqProof
-        return cls(commitment_a=a, commitment_b=b, challenge=challenge, response=response), pos
-    if tag == _TAG_WRAPPED:
-        c1, pos = _read_int(data, pos)
-        c2, pos = _read_int(data, pos)
-        sealed, pos = _read_blob(data, pos)
-        return WrappedKey(kem_ciphertext=Ciphertext(c1=c1, c2=c2), sealed_payload=sealed), pos
-    if tag == _TAG_VRF_OUT:
-        rand, pos = _read_int(data, pos)
-        gamma, pos = _read_int(data, pos)
-        proof, pos = _decode_at(data, pos)
-        return VrfOutput(rand=rand, gamma=gamma, proof=proof), pos
-    if tag == _TAG_PARTIAL:
-        pid, pos = _read_int(data, pos)
-        d_i, pos = _read_int(data, pos)
-        proof, pos = _decode_at(data, pos)
-        return PartialDecryption(participant_id=pid, d_i=d_i, proof=proof), pos
-    if tag == _TAG_NOTE:
-        tx_ref, pos = _read_blob(data, pos)
-        recipient, pos = _read_blob(data, pos)
-        commitment, pos = _read_int(data, pos)
-        range_tag, pos = _read_int(data, pos)
-        return PaymentNote(tx_ref=tx_ref, recipient=recipient, commitment=commitment, range_tag=range_tag), pos
-    if tag == _TAG_BATCH:
-        notes, pos = _decode_at(data, pos)
-        total, pos = _read_int(data, pos)
-        proof_commitment, pos = _read_int(data, pos)
-        challenge, pos = _read_int(data, pos)
-        response, pos = _read_int(data, pos)
-        return SettlementBatch(
-            notes=notes, total=total, proof_commitment=proof_commitment,
-            challenge=challenge, response=response,
-        ), pos
-    raise ValueError(f"unknown codec tag {tag:#x}")
+    layout = _READERS.get(tag)
+    if layout is None:
+        raise ValueError(f"unknown codec tag {tag:#x}")
+    cls, readers = layout
+    values = []
+    for read in readers:
+        value, pos = read(data, pos)
+        values.append(value)
+    return cls(*values), pos
+
+
+# one writer and one reader per field kind; each record's layout is resolved against them once, here
+_WRITE = {"i": _int_bytes, "b": _blob, "c": _ciphertext_bytes, "v": encode_value}
+_READ = {"i": _read_int, "b": _read_blob, "c": _read_ciphertext, "v": _decode_at}
+_WRITERS = {
+    cls: (bytes([tag]), tuple((f.name, _WRITE[kind]) for f, kind in zip(dataclasses.fields(cls), kinds, strict=True)))
+    for tag, (cls, kinds) in RECORDS.items()
+}
+_READERS = {tag: (cls, tuple(_READ[kind] for kind in kinds)) for tag, (cls, kinds) in RECORDS.items()}
 
 
 def decode_value(data: bytes):

@@ -47,7 +47,7 @@ from .errors import (
     UnknownTxRef,
 )
 from .hybrid import symmetric_open
-from .ledger import Address, ExecutionContext, address_from_pk, contract_address, register_contract_kind
+from .ledger import Address, ExecutionContext, address_from_pk, contract_address
 from .payments import SettlementBatch, verify_batch
 from .proofs import Signature, aggregate_message, verify_decryption, verify_sig
 from .vrf import DrawConfig, VrfOutput, is_selected, max_draw, vrf_verify
@@ -578,5 +578,5 @@ class FundContract:
         )
 
 
-register_contract_kind("policy", lambda ledger, cid, deployer, params: PolicyContract(ledger, cid, deployer, params))
-register_contract_kind("fund", lambda ledger, cid, deployer, params: FundContract(ledger, cid, deployer, params))
+# the contract kinds a ``system deploy`` transaction may name
+CONTRACT_KINDS = {"policy": PolicyContract, "fund": FundContract}

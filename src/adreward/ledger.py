@@ -10,6 +10,7 @@ key, which only the executing validator opens.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from collections.abc import Iterator
@@ -114,7 +115,6 @@ class LedgerState:
         self.validator_key: KeyPair = keygen(group, DetRng(validator_seed).child("validator"))
         self.balances: dict[Address, int] = {}
         self.contracts: dict[str, object] = {}
-        self.contract_params: dict[str, tuple] = {}
         self.tx_log: list[Transaction] = []
         self.receipts: list[Receipt] = []
         self._genesis = {"validator_seed": _seed_repr(validator_seed), "chain_id": chain_id, "balances": {}}
@@ -153,11 +153,12 @@ class LedgerState:
     ) -> Transaction:
         envelope = None
         if private_args is not None:
+            plaintext = codec.encode_args(private_args)
             envelope = hybrid_wrap(
                 self.group,
                 self.validator_key.pk,
-                codec.encode_args(private_args),
-                DetRng(dhash("adreward/envelope-seed", codec.encode_args(private_args), encode_element(sender_key.pk))),
+                plaintext,
+                DetRng(dhash("adreward/envelope-seed", plaintext, encode_element(sender_key.pk))),
             )
         seq = self.next_sequence() if sequence_no is None else sequence_no
         sender = address_from_pk(sender_key.pk)
@@ -239,11 +240,12 @@ class LedgerState:
     def _deploy(self, ctx: ExecutionContext, kind: str, contract_id: str, params: tuple):
         if contract_id in self.contracts:
             raise Revert(f"contract id {contract_id} taken")
-        factory = _contract_kinds().get(kind)
+        from .contracts import CONTRACT_KINDS
+
+        factory = CONTRACT_KINDS.get(kind)
         if factory is None:
             raise Revert(f"unknown contract kind {kind}")
         self.contracts[contract_id] = factory(self, contract_id, ctx.sender, params)
-        self.contract_params[contract_id] = (kind, ctx.sender, params)
         ctx.emit("deploy", (kind, contract_id))
         return contract_id
 
@@ -285,14 +287,12 @@ class LedgerState:
         return (
             dict(self.balances),
             {cid: contract.snapshot() for cid, contract in self.contracts.items()},
-            dict(self.contract_params),
             set(self.contracts),
         )
 
     def _restore(self, snapshot) -> None:
-        balances, contract_snaps, params, contract_ids = snapshot
+        balances, contract_snaps, contract_ids = snapshot
         self.balances = balances
-        self.contract_params = params
         for cid in list(self.contracts):
             if cid not in contract_ids:
                 del self.contracts[cid]
@@ -352,21 +352,13 @@ def _seed_repr(seed: bytes | str) -> str:
     return seed.hex() if isinstance(seed, bytes) else seed
 
 
-_KINDS: dict[str, object] = {}
-
-
-def register_contract_kind(kind: str, factory) -> None:
-    _KINDS[kind] = factory
-
-
-def _contract_kinds() -> dict:
-    if not _KINDS:
-        from . import contracts  # noqa: F401  registers PSC/FSC factories
-    return _KINDS
+def parallel_processes(chains: int) -> int:
+    """How many processes ``run_parallel`` runs at once: one per chain, at most one per core."""
+    return min(chains, os.cpu_count() or 1)
 
 
 def run_parallel(worker, per_chain_args: list[tuple]) -> list:
-    """Run one workload per chain: one chain inline, several in separate processes.
+    """Run one workload per chain: one chain inline, several in a pool of at most one process per core.
 
     `worker` must be a module-level callable when there is more than one chain.
     """
@@ -374,6 +366,6 @@ def run_parallel(worker, per_chain_args: list[tuple]) -> list:
         return [worker(*args) for args in per_chain_args]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=len(per_chain_args)) as pool:
+    with ProcessPoolExecutor(max_workers=parallel_processes(len(per_chain_args))) as pool:
         futures = [pool.submit(worker, *args) for args in per_chain_args]
         return [f.result() for f in futures]

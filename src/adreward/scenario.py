@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 
+from . import codec
 from .actors import (
     AdCatalog,
     Advertiser,
@@ -77,6 +77,9 @@ class ScenarioConfig:
             raise ScenarioError("pool sizes must be positive")
         if self.pool_expected > self.pool_registered:
             raise ScenarioError("expected pool exceeds registrants")
+        threshold = self.pool_threshold
+        if threshold is not None and (isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1):
+            raise ScenarioError("pool threshold must be absent, null or an integer of at least 1")
         if self.fee < 0 or self.sidechains < 1:
             raise ScenarioError("fee must be non-negative and sidechains positive")
         if self.misbehavior_kind not in MISBEHAVIOR_KINDS:
@@ -96,20 +99,28 @@ class ScenarioConfig:
             raise ScenarioError("scenario must be a JSON object")
         if raw.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ScenarioError(f"unsupported schema {raw.get('schema')}")
-        mis = raw.get("misbehavior", {}) or {}
+
+        def section(name: str) -> dict:
+            value = raw.get(name, {})
+            if not isinstance(value, dict):
+                raise ScenarioError(f"scenario section {name!r} must be an object")
+            return value
+
+        catalog, policy, pool = section("catalog"), section("policy"), section("pool")
+        mis = {} if raw.get("misbehavior") is None else section("misbehavior")
         try:
             cfg = cls(
                 name=str(raw.get("name", "scenario")),
                 seed=int(raw["seed"]),
-                num_ads=int(raw["catalog"]["num_ads"]),
-                num_advertisers=int(raw["catalog"]["advertisers"]),
+                num_ads=int(catalog["num_ads"]),
+                num_advertisers=int(catalog["advertisers"]),
                 users=int(raw["users"]),
-                policy_min=int(raw.get("policy", {}).get("min", 1)),
-                policy_max=int(raw.get("policy", {}).get("max", 1 << 8)),
+                policy_min=int(policy.get("min", 1)),
+                policy_max=int(policy.get("max", 1 << 8)),
                 click_cap=int(raw.get("click_cap", 1 << 8)),
-                pool_registered=int(raw.get("pool", {}).get("registered", 8)),
-                pool_expected=int(raw.get("pool", {}).get("expected", 4)),
-                pool_threshold=raw.get("pool", {}).get("threshold"),
+                pool_registered=int(pool.get("registered", 8)),
+                pool_expected=int(pool.get("expected", 4)),
+                pool_threshold=pool.get("threshold"),
                 fee=int(raw.get("fee", 100)),
                 sidechains=int(raw.get("sidechains", 1)),
                 misbehavior_kind=str(mis.get("kind", "none")),
@@ -424,33 +435,22 @@ def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
 
 
 def _policy_plaintext_leaked(ledger: LedgerState, psc_id: str, fsc_id: str, policies: tuple[int, ...]) -> bool:
-    """Whether a policy's encoding occurs in both contracts' state followed by the exported log."""
+    """Whether a policy's encoding occurs in either contract's state or in a logged transaction.
+
+    Each transaction is searched in the codec bytes that its exported log line
+    carries as hex: the call arguments, the private envelope and the signature.
+    """
+    needles = {encode_scalar(p) for p in policies}
 
     def public_chunks():
         yield ledger.contracts[psc_id].state_bytes()
         yield ledger.contracts[fsc_id].state_bytes()
-        for i, line in enumerate(ledger.export_tx_lines()):
-            yield (b"\n" if i else b"") + line.encode()
+        for tx in ledger.tx_log:
+            yield codec.encode_args(tx.call.args)
+            yield codec.encode_value(tx.private_envelope)
+            yield codec.encode_value(tx.signature)
 
-    return stream_contains(public_chunks(), {encode_scalar(p) for p in policies})
-
-
-def stream_contains(chunks: Iterable[bytes], needles: Collection[bytes]) -> bool:
-    """Whether any needle occurs in the concatenation of chunks, without building it.
-
-    The last ``len(longest needle) - 1`` bytes seen are carried into the next
-    window, so a needle that straddles chunk boundaries is still found.
-    """
-    if not needles:
-        return False
-    keep = max(map(len, needles)) - 1
-    tail = b""
-    for chunk in chunks:
-        window = tail + chunk
-        if any(n in window for n in needles):
-            return True
-        tail = window[-keep:] if keep else b""
-    return any(n in tail for n in needles)
+    return any(needle in chunk for chunk in public_chunks() for needle in needles)
 
 
 @dataclass

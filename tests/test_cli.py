@@ -82,6 +82,30 @@ def test_scenario_validation_errors():
             ScenarioConfig.from_dict(broken)
 
 
+@pytest.mark.parametrize("mutation", [
+    {"policy": 5}, {"policy": None}, {"pool": None}, {"catalog": [2, 1]}, {"misbehavior": "none"},
+    {"pool": {"threshold": "3"}}, {"pool": {"threshold": 0}}, {"pool": {"threshold": -2}},
+    {"pool": {"threshold": True}}, {"pool": {"threshold": 2.0}},
+], ids=repr)
+def test_malformed_sections_and_thresholds_raise_scenario_error(mutation):
+    base = json.loads((SCENARIOS / "honest_small.json").read_text())
+    with pytest.raises(ScenarioError):
+        ScenarioConfig.from_dict({**base, **mutation})
+
+
+def test_null_misbehavior_and_large_threshold_are_accepted():
+    base = json.loads((SCENARIOS / "honest_small.json").read_text())
+    assert ScenarioConfig.from_dict({**base, "misbehavior": None}).misbehavior_kind == "none"
+    assert ScenarioConfig.from_dict({**base, "pool": {**base["pool"], "threshold": 99}}).pool_threshold == 99
+
+
+def test_null_section_exits_two(tmp_path):
+    base = json.loads((SCENARIOS / "honest_small.json").read_text())
+    bad = tmp_path / "null_policy.json"
+    bad.write_text(json.dumps({**base, "policy": None}))
+    assert main(["run", str(bad), "--out", str(tmp_path / "r.json")]) == 2
+
+
 def test_bench_client_cli_smoke(tmp_path):
     out = tmp_path / "bench.json"
     code = main(["bench", "client", "--sizes", "16,32", "--out", str(out)])

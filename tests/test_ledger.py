@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -182,6 +183,55 @@ def test_codec_round_trips_every_supported_type(group, rng):
     assert decode_args(encode_args((batch,)))[0] == batch
 
 
+def _pinned_records():
+    from adreward.dkg import PartialDecryption
+    from adreward.elgamal import Ciphertext
+    from adreward.payments import PaymentNote, SettlementBatch
+    from adreward.proofs import DecryptionProof, DleqProof, Signature
+    from adreward.vrf import VrfOutput
+
+    notes = (PaymentNote(b"\x01" * 32, b"\x02" * 20, 1 << 255, 1 << 32), PaymentNote(b"", b"r", 0, 7))
+    records = {
+        "ciphertext": Ciphertext(3, (1 << 2047) + 5),
+        "signature": Signature(11, 1 << 200, 258),
+        "decryption_proof": DecryptionProof(1, 256, 65535, 65536),
+        "dleq_proof": DleqProof(0, 1 << 64, 12345678901234567890, 2),
+        "wrapped_key": WrappedKey(Ciphertext(17, 1 << 100), b"\x00sealed\xff"),
+        "vrf_output": VrfOutput(1 << 128, 99, DleqProof(4, 3, 2, 1)),
+        "partial_decryption": PartialDecryption(5, 1 << 300, DleqProof(9, 8, 7, 6)),
+        "payment_note": notes[0],
+        "settlement_batch": SettlementBatch(notes, 1 << 40, 77, 1 << 250, 0),
+    }
+    records["mixed"] = (None, True, False, 0, 255, 256, b"", b"\x00\x01", "", "texté",
+                        tuple(records.values()), [1, (2, ())])
+    return records
+
+
+# SHA-256 of encode_value(record), recorded before the codec's record table replaced its
+# per-type branches; any change here changes state hashes and the exported log.
+_PINNED_CODEC_SHA256 = {
+    "ciphertext": "788f804466b969225da3b660596321aaf11d7eaade5b5c9dfdd836eb8eb503f1",
+    "decryption_proof": "907554f75f6ef9f2d6c77d8cd5a8cc023e656fdd9cbf3381af97b5bf317efa91",
+    "dleq_proof": "3e1f800571ccbd6a1c261dcc4f0b4d8261e581240eaddaffaf738f915b206357",
+    "mixed": "9ec4981a762d0f6d9dcadc2147f00f0cd6fc7f0a49bea441b795184f764029cf",
+    "partial_decryption": "319db8114bef93b9bcd996cb7cad243e0131dd0e98f2a42011a9559fdce0bc8c",
+    "payment_note": "2c04fbe3254de760ff15e600e6e718521f05634bd1afce3cc6b7a00918c6a2a2",
+    "settlement_batch": "26de895d99e193e5f39ad16335587cf61ee95489d3d16ec1c2638fbbc698bfc3",
+    "signature": "d4d109b49d7cf1f94422956660373c3b0fb3005fe8bafd5dad7a17ee519fd9c4",
+    "vrf_output": "a34e4324baeba856cd7d4d3d807b283d6665d8fd5ef4e0197640ba67c6423cb7",
+    "wrapped_key": "4d49760dd56610160268218471d3ab5767e267fce90990fb1a04cade4ee10ac7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CODEC_SHA256))
+def test_codec_wire_bytes_are_pinned(name):
+    value = _pinned_records()[name]
+    data = encode_value(value)
+    assert hashlib.sha256(data).hexdigest() == _PINNED_CODEC_SHA256[name]
+    expected = tuple(tuple(v) if isinstance(v, list) else v for v in value) if name == "mixed" else value
+    assert decode_value(data) == expected
+
+
 def _encodable():
     from adreward.dkg import PartialDecryption
     from adreward.elgamal import Ciphertext
@@ -240,6 +290,48 @@ def test_run_parallel_chains_are_independent():
     assert single == [20]
     results = run_parallel(_parallel_probe, [(0, 20), (1, 20), (2, 20)])
     assert results == [20, 20, 20]
+
+
+@pytest.fixture
+def inline_process_pool(monkeypatch):
+    """Runs ``run_parallel``'s process pool inline on a two-core host; yields the requested pool sizes."""
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return sizes
+
+
+def test_run_parallel_is_bounded_by_the_host(inline_process_pool):
+    assert run_parallel(_parallel_probe, [(i, 2) for i in range(5)]) == [2] * 5
+    assert run_parallel(_parallel_probe, [(0, 1)]) == [1]  # one chain runs inline
+    assert inline_process_pool == [2]
+
+
+def test_bench_concurrent_reports_processes_per_scaling_point(inline_process_pool):
+    from adreward.bench import bench_concurrent
+
+    report = bench_concurrent(user_counts=(), catalog=4, chain_counts=(1, 3), budget_s=1e-6)
+    assert {k: v["processes"] for k, v in report["scaling"].items()} == {"1": 1, "3": 2}
+    assert inline_process_pool == [2]
 
 
 def test_concurrent_submissions_totally_ordered(group, ledger, accounts):

@@ -1,12 +1,17 @@
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from adreward.bench import BenchmarkReport, run_cohort
-from adreward.encoding import DetRng
-from adreward.scenario import ScenarioConfig, build_interactions, build_plan, run_campaign, stream_contains
+from adreward.encoding import DetRng, encode_scalar
+from adreward.scenario import (
+    ScenarioConfig,
+    _policy_plaintext_leaked,
+    build_interactions,
+    build_plan,
+    open_campaign,
+    run_campaign,
+)
 
 
 def test_fee_shares_sum_exactly():
@@ -105,20 +110,12 @@ def test_cohort_ends_in_the_same_state_for_the_same_seed():
     assert first["state_hash"] == second["state_hash"]
 
 
-# a two-letter alphabet makes needles occur often, and across chunk boundaries
-_bytes = st.binary(max_size=12).map(lambda b: bytes(c & 1 for c in b))
-
-
-@settings(max_examples=300, deadline=None)
-@given(chunks=st.lists(_bytes, max_size=8), needles=st.lists(_bytes, max_size=4))
-def test_stream_contains_matches_search_of_joined_bytes(chunks, needles):
-    assert stream_contains(iter(chunks), needles) == any(n in b"".join(chunks) for n in needles)
-
-
-def test_stream_contains_finds_needles_straddling_chunks():
-    needle = b"abcdef"
-    assert stream_contains([b"xxab", b"cd", b"efyy"], [needle])  # spans three chunks
-    assert stream_contains([b"a", b"b", b"c", b"d", b"e", b"f"], [b"zz", needle])
-    assert not stream_contains([b"xxab", b"cd", b"eXfyy"], [needle])
-    assert not stream_contains([], [needle])
-    assert stream_contains([], [b""]) == (b"" in b"")
+def test_policy_privacy_check_finds_a_policy_planted_in_a_transaction():
+    cfg = ScenarioConfig(name="leak", seed=41, num_ads=3, num_advertisers=1, users=1,
+                         policy_max=255, click_cap=4, pool_registered=4, pool_expected=2, fee=5)
+    campaign = open_campaign(cfg, "policy-leak")
+    ledger, policies = campaign.ledger, campaign.plan.policies
+    assert not _policy_plaintext_leaked(ledger, campaign.psc_id, campaign.fsc_id, policies)
+    receipt = ledger.transfer(campaign.cf.account, encode_scalar(policies[0]), 0)
+    assert receipt.status == "ok"
+    assert _policy_plaintext_leaked(ledger, campaign.psc_id, campaign.fsc_id, policies)
