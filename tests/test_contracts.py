@@ -26,10 +26,11 @@ from adreward.actors import (
 )
 from adreward.contracts import FundContract, PolicyContract, keys_message, settlement_message
 from adreward.elgamal import Ciphertext, decrypt, encrypt_vector, keygen
-from adreward.encoding import DetRng, encode_element, encode_scalar
+from adreward.encoding import DetRng, encode_element
 from adreward.errors import PolicyMismatch
 from adreward.ledger import Call, LedgerState, address_from_pk, contract_address
 from adreward.proofs import Signature, sign
+from adreward.scenario import _policy_plaintext_leaked
 
 POLICIES = (4, 20, 12)
 
@@ -520,13 +521,7 @@ def test_policy_plaintexts_never_in_public_storage(group):
     campaign = Campaign(group, plan, seed="privacy", with_pool=True)
     session = campaign.claim([1, 2, 3])
     user_payment_request(group, campaign.ledger, campaign.psc_id, session, plan.recovery_bound)
-    # the exported log carries each transaction's codec bytes as hex; search the bytes themselves
-    public = [campaign.psc.state_bytes(), campaign.fsc.state_bytes()]
-    for tx in campaign.ledger.tx_log:
-        public += [codec.encode_args(tx.call.args), codec.encode_value(tx.private_envelope),
-                   codec.encode_value(tx.signature)]
-    for policy in policies:
-        assert not any(encode_scalar(policy) in chunk for chunk in public)
+    assert not _policy_plaintext_leaked(campaign.ledger, campaign.psc_id, campaign.fsc_id, policies)
 
 
 # -- storage declaration and atomicity ----------------------------------------------------------

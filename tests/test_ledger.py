@@ -326,12 +326,17 @@ def test_run_parallel_is_bounded_by_the_host(inline_process_pool):
     assert inline_process_pool == [2]
 
 
-def test_bench_concurrent_reports_processes_per_scaling_point(inline_process_pool):
+def test_bench_concurrent_queued_chains_share_the_deadline(inline_process_pool):
     from adreward.bench import bench_concurrent
 
-    report = bench_concurrent(user_counts=(), catalog=4, chain_counts=(1, 3), budget_s=1e-6)
-    assert {k: v["processes"] for k, v in report["scaling"].items()} == {"1": 1, "3": 2}
+    report = bench_concurrent(user_counts=(), catalog=4, chain_counts=(1, 3), budget_s=0.4)
+    scaling = report["scaling"]
+    assert {k: v["processes"] for k, v in scaling.items()} == {"1": 1, "3": 2}
     assert inline_process_pool == [2]
+    assert scaling["1"]["users_processed"] > 0
+    # the inline pool runs chains one after another: the first uses up the deadline
+    assert scaling["3"]["per_chain"][1:] == [0, 0]
+    assert report["scaling_ratio_vs_single"]["3"] <= scaling["3"]["processes"]
 
 
 def test_concurrent_submissions_totally_ordered(group, ledger, accounts):
