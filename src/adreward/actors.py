@@ -9,6 +9,7 @@ per-ad click totals that advertisers verify.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .dkg import (
@@ -526,13 +527,18 @@ def user_check_payment(group: PrimeOrderGroup, ledger: LedgerState, fsc_id: str,
 # -- analytics ---------------------------------------------------------------------
 
 
-def aggregate_click_ciphertexts(group: PrimeOrderGroup, ledger: LedgerState, psc_id: str) -> tuple:
-    """Homomorphic per-ad sums over every logged analytics vector."""
+def aggregate_click_ciphertexts(
+    group: PrimeOrderGroup, ledger: LedgerState, psc_id: str, ad_indices: Sequence[int],
+) -> tuple:
+    """Homomorphic sums over every logged analytics vector, one per ad in ``ad_indices``.
+
+    The sums come back in the order of ``ad_indices``: the pool passes every
+    catalog index, an advertiser's audit only its own ads.
+    """
     psc = ledger.contracts[psc_id]
-    n_a = psc.catalog_size
-    sums = [Ciphertext(c1=1, c2=1)] * n_a
+    sums = [Ciphertext(c1=1, c2=1)] * len(ad_indices)
     for _, enc_vec_prime in psc.enc_vec_prime_log:
-        sums = [add_ciphertexts(group, acc, ct) for acc, ct in zip(sums, enc_vec_prime)]
+        sums = [add_ciphertexts(group, acc, enc_vec_prime[i]) for acc, i in zip(sums, ad_indices)]
     return tuple(sums)
 
 
@@ -548,7 +554,8 @@ def analytics_round(
     """Pool members post partial decryptions; combine, recover, and store totals."""
     from .contracts import clicks_message
 
-    aggregate_cts = aggregate_click_ciphertexts(group, ledger, psc_id)
+    psc = ledger.contracts[psc_id]
+    aggregate_cts = aggregate_click_ciphertexts(group, ledger, psc_id, range(psc.catalog_size))
     for member in pool.members:
         partials = tuple(
             partial_decrypt(group, member.pool_index, member.material.share, ct)
@@ -589,19 +596,30 @@ def advertiser_verify_analytics(
     fsc_id: str,
     advertiser: Advertiser,
 ) -> bool:
-    """Recompute the posted sums for own ads and check every partial's proof."""
+    """Audit the posted analytics of the advertiser's own ads.
+
+    For each of ``advertiser.ad_indices`` this recomputes the homomorphic sum
+    over the public log and compares it with the posted sum, and it checks
+    every posted member's partial decryption of that ad against the member's
+    share commitment. An unknown member fails the audit. Other advertisers'
+    ads are not checked: a bad partial on one of them fails only its owner's
+    audit. Every ad has one owner, so auditing every advertiser checks each
+    posted partial once; ``post_analytics`` has already checked all of them
+    on chain, and ``combine_partials`` checks the quorum's again.
+    """
     psc = ledger.contracts[psc_id]
     fsc = ledger.contracts[fsc_id]
     if not fsc.posted_aggregate_cts:
         return False
-    recomputed = aggregate_click_ciphertexts(group, ledger, psc_id)
-    for i in advertiser.ad_indices:
-        if recomputed[i] != fsc.posted_aggregate_cts[i]:
-            return False
+    own = advertiser.ad_indices
+    posted_cts = tuple(fsc.posted_aggregate_cts[i] for i in own)
+    if aggregate_click_ciphertexts(group, ledger, psc_id, own) != posted_cts:
+        return False
     for pool_index, partials in fsc.posted_partials.items():
         commitment = psc.pool_share_commitments.get(pool_index)
         if commitment is None:
             return False
-        if first_rejected_partial(group, fsc.posted_aggregate_cts, partials, commitment) is not None:
+        own_partials = [partials[i] for i in own]
+        if first_rejected_partial(group, posted_cts, own_partials, commitment) is not None:
             return False
     return True

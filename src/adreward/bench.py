@@ -1,10 +1,10 @@
 """Benchmark harness: client-side timings, batched settlement, and concurrency.
 
-Timing methodology: client-side operations are timed in isolation, and the
-sizes being compared are interleaved within each run so that slow drift of
-the host's speed affects all of them alike. A cohort's campaign is opened by
-``scenario.open_campaign`` and its users are served one after another; a
-user's latency covers the user's crypto, signing, and the ledger's checks and
+Timing methodology: client-side operations and settlement verification are
+timed in isolation, and the sizes being compared are interleaved within each
+run so that slow drift of the host's speed affects all of them alike. A
+cohort's campaign is opened by ``scenario.open_campaign`` and its users are
+served one after another; a user's latency covers the user's crypto, signing, and the ledger's checks and
 execution of both of the user's transactions, but not the wait behind other
 users (``cohort_wall_s`` covers that). Multi-chain scaling runs one process
 per chain, because chains share no state, and at most one per core; each
@@ -15,10 +15,12 @@ once it has passed.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import statistics
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .actors import UserSession, user_claim, user_payment_request
@@ -40,6 +42,17 @@ def _median_of(fn, runs: int) -> float:
         fn()
         samples.append(time.perf_counter() - t0)
     return statistics.median(samples)
+
+
+@contextmanager
+def _gc_paused():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def linear_fit_r2(xs: list[float], ys: list[float]) -> float:
@@ -139,9 +152,17 @@ def bench_client(sizes: tuple[int, ...] = (64, 128, 256), runs: int = 10, seed: 
 
 
 def bench_settlement(batches: tuple[int, ...] = (80, 200, 400, 800), runs: int = 5, seed: int = 11) -> dict:
+    """Median time to generate and to verify a settlement batch of each size.
+
+    Every batch is generated before any verification is timed. Each run then
+    verifies the sizes one after another, so a slow moment of the host hits
+    every size alike, and the garbage collector is paused inside each timed
+    block, as ``timeit`` does.
+    """
     group = default_group()
     rng = DetRng(f"bench-settlement/{seed}")
-    results = {}
+    gen_s = {}
+    prepared = {}
     for batch_size in batches:
         recipients = [rng.bytes(20) for _ in range(batch_size)]
         amounts = [rng.randint(0, 1 << 16) for _ in range(batch_size)]
@@ -155,22 +176,26 @@ def bench_settlement(batches: tuple[int, ...] = (80, 200, 400, 800), runs: int =
             ]
             return settle_batch(group, entries, total)
 
-        gen_s = _median_of(generate, runs)
-        batch = generate()
+        gen_s[batch_size] = _median_of(generate, runs)
+        prepared[batch_size] = generate()
+        if not verify_batch(group, prepared[batch_size]):
+            raise RuntimeError(f"generated batch of {batch_size} notes fails verification")
 
-        def verify():
-            assert verify_batch(group, batch)
-
-        # verification is fast; time a block of repetitions for stable numbers
-        reps = 20
-        samples = []
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                verify()
-            samples.append((time.perf_counter() - t0) / reps)
-        verify_s = statistics.median(samples)
-        results[batch_size] = {"proof_generation_s": gen_s, "verification_s": verify_s}
+    # verification is fast; time a block of repetitions for stable numbers
+    reps = 20
+    verify_samples: dict[int, list[float]] = {size: [] for size in batches}
+    for _ in range(runs):
+        for batch_size in batches:
+            batch = prepared[batch_size]
+            with _gc_paused():
+                t0 = time.perf_counter()
+                for _ in range(reps):
+                    verify_batch(group, batch)
+                verify_samples[batch_size].append((time.perf_counter() - t0) / reps)
+    results = {
+        size: {"proof_generation_s": gen_s[size], "verification_s": statistics.median(verify_samples[size])}
+        for size in batches
+    }
 
     first, last = batches[0], batches[-1]
     return {
@@ -249,6 +274,12 @@ def _chain_worker(chain_index: int, catalog: int, deadline: float, seed: str) ->
     return processed
 
 
+def check_budget(budget_s: float) -> None:
+    """Throughput is users processed per budget second, so the budget must be positive."""
+    if not budget_s > 0:
+        raise ValueError(f"wall-clock budget must be positive, got {budget_s}")
+
+
 def bench_concurrent(
     user_counts: tuple[int, ...] = (10, 30, 60, 100),
     catalog: int = 256,
@@ -256,6 +287,7 @@ def bench_concurrent(
     budget_s: float = 10.0,
     seed: str = "bench-concurrent",
 ) -> dict:
+    check_budget(budget_s)
     cohorts = [run_cohort(users, catalog, seed) for users in user_counts]
 
     scaling = {}
@@ -339,6 +371,7 @@ def benchmark_summary(
     batch: int = 800,
     budget_s: float = 8.0,
 ) -> BenchmarkReport:
+    check_budget(budget_s)
     client = bench_client(sizes=(catalog,), runs=5)
     settlement = bench_settlement(batches=(batch,), runs=3)
     cohort = run_cohort(users, catalog)

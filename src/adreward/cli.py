@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 
-from .bench import bench_client, bench_concurrent, bench_settlement, benchmark_summary, write_report
+from .bench import bench_client, bench_concurrent, bench_settlement, benchmark_summary, check_budget, write_report
 from .errors import ScenarioError
 from .scenario import ScenarioConfig, run_scenario
 
@@ -32,6 +32,15 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"sizes must be comma-separated integers: {exc}")
 
 
+def _budget(text: str) -> float:
+    try:
+        budget = float(text)
+        check_budget(budget)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adreward", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -46,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--sizes", type=_parse_sizes, default=None,
                          help="comma-separated sizes (catalogs, batches, or user counts)")
     bench_p.add_argument("--chains", type=_parse_sizes, default=None, help="chain counts for concurrent")
-    bench_p.add_argument("--budget", type=float, default=10.0, help="wall-clock budget per scaling point (s)")
+    bench_p.add_argument("--budget", type=_budget, default=10.0, help="wall-clock budget per scaling point (s)")
     bench_p.add_argument("--out", default=None, help="report output path")
     return parser
 

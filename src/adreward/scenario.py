@@ -108,27 +108,37 @@ class ScenarioConfig:
 
         catalog, policy, pool = section("catalog"), section("policy"), section("pool")
         mis = {} if raw.get("misbehavior") is None else section("misbehavior")
+        sections = {"": raw, "catalog": catalog, "policy": policy, "pool": pool, "misbehavior": mis}
+
+        def integer(name: str, default: int | None = None) -> int:
+            """The value at ``name`` ("section.key" or a top-level key), which must be a JSON integer."""
+            where, _, key = name.rpartition(".")
+            value = sections[where][key] if default is None else sections[where].get(key, default)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ScenarioError(f"scenario field {name!r} must be an integer, got {value!r}")
+            return value
+
         try:
             cfg = cls(
                 name=str(raw.get("name", "scenario")),
-                seed=int(raw["seed"]),
-                num_ads=int(catalog["num_ads"]),
-                num_advertisers=int(catalog["advertisers"]),
-                users=int(raw["users"]),
-                policy_min=int(policy.get("min", 1)),
-                policy_max=int(policy.get("max", 1 << 8)),
-                click_cap=int(raw.get("click_cap", 1 << 8)),
-                pool_registered=int(pool.get("registered", 8)),
-                pool_expected=int(pool.get("expected", 4)),
+                seed=integer("seed"),
+                num_ads=integer("catalog.num_ads"),
+                num_advertisers=integer("catalog.advertisers"),
+                users=integer("users"),
+                policy_min=integer("policy.min", 1),
+                policy_max=integer("policy.max", 1 << 8),
+                click_cap=integer("click_cap", 1 << 8),
+                pool_registered=integer("pool.registered", 8),
+                pool_expected=integer("pool.expected", 4),
                 pool_threshold=pool.get("threshold"),
-                fee=int(raw.get("fee", 100)),
-                sidechains=int(raw.get("sidechains", 1)),
+                fee=integer("fee", 100),
+                sidechains=integer("sidechains", 1),
                 misbehavior_kind=str(mis.get("kind", "none")),
-                misbehavior_delta=int(mis.get("delta", 1)),
-                misbehavior_user=int(mis.get("user_index", 0)),
+                misbehavior_delta=integer("misbehavior.delta", 1),
+                misbehavior_user=integer("misbehavior.user_index", 0),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"malformed scenario: {exc}") from exc
+        except KeyError as exc:
+            raise ScenarioError(f"malformed scenario: missing field {exc}") from exc
         cfg.validate()
         return cfg
 

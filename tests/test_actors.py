@@ -168,6 +168,52 @@ def test_analytics_detects_omitted_vector(group):
     fsc.posted_aggregate_cts = full
 
 
+def _audited_campaign(group, seed):
+    """Nine ads of three advertisers, three users and a posted analytics round."""
+    plan, ledger, cf, advertisers, psc_id, fsc_id, pool, rng = build_campaign(group, seed=seed)
+    assert len(advertisers) == 3 and len(pool.members) >= 2
+    psc = ledger.contracts[psc_id]
+    for i in range(3):
+        session = UserSession(group, i, (i + 1,) * 9, rng.child(f"u{i}"))
+        user_claim(group, ledger, psc_id, session, psc.pool_pk)
+    analytics_round(group, ledger, psc_id, fsc_id, pool, 30, rng.child("an"))
+    return ledger, advertisers, psc_id, fsc_id
+
+
+def test_bad_partial_fails_only_its_owners_audit(group):
+    ledger, advertisers, psc_id, fsc_id = _audited_campaign(group, "owner-audit")
+    fsc = ledger.contracts[fsc_id]
+    honest = dict(fsc.posted_partials)
+    for pool_index, row in honest.items():
+        for ad in range(len(row)):
+            bad_proof = dataclasses.replace(row[ad].proof, response=(row[ad].proof.response + 1) % group.q)
+            bad = dataclasses.replace(row[ad], proof=bad_proof)
+            fsc.posted_partials[pool_index] = row[:ad] + (bad,) + row[ad + 1:]
+            verdicts = [advertiser_verify_analytics(group, ledger, psc_id, fsc_id, a) for a in advertisers]
+            assert verdicts == [ad not in a.ad_indices for a in advertisers], (pool_index, ad)
+            assert not all(verdicts)
+        fsc.posted_partials[pool_index] = row
+
+
+def test_audit_verifies_each_posted_partial_once(group, monkeypatch):
+    import adreward.dkg as dkg
+
+    ledger, advertisers, psc_id, fsc_id = _audited_campaign(group, "audit-once")
+    fsc = ledger.contracts[fsc_id]
+    checked = []
+    original = dkg.verify_partial
+
+    def counting(group_, c, partial, commitment):
+        checked.append((partial.participant_id, c))
+        return original(group_, c, partial, commitment)
+
+    monkeypatch.setattr(dkg, "verify_partial", counting)
+    assert all(advertiser_verify_analytics(group, ledger, psc_id, fsc_id, a) for a in advertisers)
+    catalog_size = len(fsc.posted_aggregate_cts)
+    assert len(checked) == len(fsc.posted_partials) * catalog_size
+    assert len(set(checked)) == len(checked)
+
+
 def test_pool_selection_statistics_and_forgery(group):
     plan, ledger, cf, advertisers, psc_id, fsc_id, _, rng = build_campaign(group, seed="draw", with_pool=False)
     registrants = make_pool_registrants(group, 100, rng.child("reg"))
@@ -266,7 +312,8 @@ def test_aggregate_click_ciphertexts_matches_public_log(group):
         session = UserSession(group, i, counts, rng.child(f"u{i}"))
         user_claim(group, ledger, psc_id, session, psc.pool_pk)
         sessions.append(session)
-    sums = aggregate_click_ciphertexts(group, ledger, psc_id)
+    sums = aggregate_click_ciphertexts(group, ledger, psc_id, range(9))
+    assert aggregate_click_ciphertexts(group, ledger, psc_id, (8, 2)) == (sums[8], sums[2])
     # decrypting the sums with the interpolated pool secret matches the vector sum
     from adreward.dkg import lagrange_at_zero
 

@@ -85,6 +85,23 @@ def test_scenario_validation_errors():
             ScenarioConfig.from_dict(broken)
 
 
+def test_scenario_numbers_must_be_json_integers():
+    base = json.loads((SCENARIOS / "honest_small.json").read_text())
+    for mutation, name in (
+        ({"users": 6.9}, "users"),
+        ({"fee": "25"}, "fee"),
+        ({"catalog": {**base["catalog"], "advertisers": True}}, "catalog.advertisers"),
+    ):
+        with pytest.raises(ScenarioError, match=f"'{name}' must be an integer"):
+            ScenarioConfig.from_dict({**base, **mutation})
+
+
+def test_bundled_scenarios_load_unchanged():
+    for path in sorted(SCENARIOS.glob("*.json")):
+        raw = json.loads(path.read_text())
+        assert ScenarioConfig.from_dict(raw).to_dict() == raw, path.name
+
+
 def test_null_misbehavior_and_large_threshold_are_accepted():
     base = json.loads((SCENARIOS / "honest_small.json").read_text())
     assert ScenarioConfig.from_dict({**base, "misbehavior": None}).misbehavior_kind == "none"
@@ -105,3 +122,23 @@ def test_bench_client_cli_smoke(tmp_path):
     report = json.loads(out.read_text())
     assert report["kind"] == "client"
     assert set(report["per_size"]) == {"16", "32"}
+
+
+def test_nonpositive_budget_is_rejected_before_any_work(monkeypatch, capsys):
+    import adreward.bench as bench
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a benchmark ran despite an invalid budget")
+
+    monkeypatch.setattr(bench, "run_cohort", no_work)
+    monkeypatch.setattr(bench, "bench_client", no_work)
+    for budget in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            bench.bench_concurrent(user_counts=(10,), budget_s=budget)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            bench.benchmark_summary(budget_s=budget)
+    for kind in ("concurrent", "summary"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", kind, "--budget", "0"])
+        assert exit_info.value.code == 2
+        assert "budget must be positive" in capsys.readouterr().err
