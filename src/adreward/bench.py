@@ -21,7 +21,6 @@ import math
 import statistics
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .actors import UserSession, user_claim, user_payment_request
 from .elgamal import decrypt_to_element, encrypt_vector, keygen, recover_plaintext
@@ -318,80 +317,40 @@ def bench_concurrent(
     }
 
 
-@dataclass(frozen=True)
-class BenchmarkReport:
-    """Consolidated measurement for one configuration point."""
-
-    catalog_size: int
-    user_count: int
-    sidechain_count: int
-    interaction_encryption_s: float
-    request_generation_s: float
-    end_to_end_claim_s: float
-    batch_proof_gen_s: float
-    batch_verify_s: float
-    users_per_day: float
-    users_per_month: float
-    extrapolation_basis: str
-
-    def __post_init__(self):
-        timings = (
-            self.interaction_encryption_s, self.request_generation_s, self.end_to_end_claim_s,
-            self.batch_proof_gen_s, self.batch_verify_s,
-        )
-        if any(t < 0 for t in timings):
-            raise ValueError("timings must be non-negative")
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": "summary",
-            "catalog_size": self.catalog_size,
-            "user_count": self.user_count,
-            "sidechain_count": self.sidechain_count,
-            "timings": {
-                "interaction_encryption_s": self.interaction_encryption_s,
-                "request_generation_s": self.request_generation_s,
-                "end_to_end_claim_s": self.end_to_end_claim_s,
-                "batch_proof_gen_s": self.batch_proof_gen_s,
-                "batch_verify_s": self.batch_verify_s,
-            },
-            "throughput": {
-                "users_per_day": self.users_per_day,
-                "users_per_month": self.users_per_month,
-                "extrapolation_basis": self.extrapolation_basis,
-            },
-        }
-
-
 def benchmark_summary(
     catalog: int = 256,
     users: int = 100,
     chains: int = 1,
     batch: int = 800,
     budget_s: float = 8.0,
-) -> BenchmarkReport:
+) -> dict:
     check_budget(budget_s)
-    client = bench_client(sizes=(catalog,), runs=5)
-    settlement = bench_settlement(batches=(batch,), runs=3)
+    client = bench_client(sizes=(catalog,), runs=5)["per_size"][str(catalog)]
+    settlement = bench_settlement(batches=(batch,), runs=3)["per_batch"][str(batch)]
     cohort = run_cohort(users, catalog)
     deadline = time.time() + budget_s
     args = [(i, catalog, deadline, "summary") for i in range(chains)]
     processed = sum(run_parallel(_chain_worker, args))
     per_day = processed * 86400 / budget_s
-    return BenchmarkReport(
-        catalog_size=catalog,
-        user_count=users,
-        sidechain_count=chains,
-        interaction_encryption_s=client["per_size"][str(catalog)]["interaction_encryption_s"],
-        request_generation_s=client["per_size"][str(catalog)]["request_generation_s"],
-        end_to_end_claim_s=cohort["per_user_latency_median_s"],
-        batch_proof_gen_s=settlement["per_batch"][str(batch)]["proof_generation_s"],
-        batch_verify_s=settlement["per_batch"][str(batch)]["verification_s"],
-        users_per_day=per_day,
-        users_per_month=per_day * 30,
-        extrapolation_basis=f"linear from users processed in a {budget_s}s wall-clock budget on {chains} chain(s)",
-    )
+    return {
+        "schema": SCHEMA_VERSION,
+        "kind": "summary",
+        "catalog_size": catalog,
+        "user_count": users,
+        "sidechain_count": chains,
+        "timings": {
+            "interaction_encryption_s": client["interaction_encryption_s"],
+            "request_generation_s": client["request_generation_s"],
+            "end_to_end_claim_s": cohort["per_user_latency_median_s"],
+            "batch_proof_gen_s": settlement["proof_generation_s"],
+            "batch_verify_s": settlement["verification_s"],
+        },
+        "throughput": {
+            "users_per_day": per_day,
+            "users_per_month": per_day * 30,
+            "extrapolation_basis": f"linear from users processed in a {budget_s}s wall-clock budget on {chains} chain(s)",
+        },
+    }
 
 
 def write_report(report: dict, path: str) -> None:

@@ -98,7 +98,7 @@ def cmd_bench(args) -> int:
     elif args.kind == "settlement":
         report = bench_settlement(batches=args.sizes or (80, 200, 400, 800))
     elif args.kind == "summary":
-        report = benchmark_summary(budget_s=args.budget).as_dict()
+        report = benchmark_summary(budget_s=args.budget)
     else:
         report = bench_concurrent(
             user_counts=args.sizes or (10, 30, 60, 100),

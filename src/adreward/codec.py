@@ -9,6 +9,9 @@ other value is a record: ``RECORDS`` maps its tag to its dataclass and to one
 kind per dataclass field, in declaration order, and both directions walk that
 layout. The kinds are ``i`` (unsigned int), ``b`` (blob), ``c`` (an ElGamal
 ciphertext written inline as its two ints) and ``v`` (a nested tagged value).
+Tag 0x07 is retired: it carried a separate decryption-proof record, and a
+payment request's decryption proof is now an ordinary ``DleqProof``. Do not
+reuse it, so old logs never decode as another record.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .dkg import PartialDecryption
 from .elgamal import Ciphertext
 from .hybrid import WrappedKey
 from .payments import PaymentNote, SettlementBatch
-from .proofs import DecryptionProof, DleqProof, Signature
+from .proofs import DleqProof, Signature
 from .vrf import VrfOutput
 
 _TAG_NONE = 0x00
@@ -32,7 +35,6 @@ _TAG_BOOL = 0x0D
 RECORDS = {
     0x05: (Ciphertext, "ii"),
     0x06: (Signature, "iii"),
-    0x07: (DecryptionProof, "iiii"),
     0x08: (DleqProof, "iiii"),
     0x09: (WrappedKey, "cb"),
     0x0A: (VrfOutput, "iiv"),

@@ -200,8 +200,14 @@ class PolicyContract:
             raise Revert("this key already has an aggregate")
         if len(enc_vec) != self.catalog_size or len(enc_vec_prime) != self.catalog_size:
             raise LengthMismatch(f"interaction vectors must have {self.catalog_size} entries")
-        policies = self._open_policies(ctx)
         group = self.ledger.group
+        # a zero c1 or c2 zeroes that component of every sum it enters: the analytics
+        # then fail, and an aggregate with c1 = 0 passes the decryption proof for any m
+        for name, vec in (("enc_vec", enc_vec), ("enc_vec_prime", enc_vec_prime)):
+            for i, ct in enumerate(vec):
+                if not (isinstance(ct, Ciphertext) and 0 < ct.c1 < group.p and 0 < ct.c2 < group.p):
+                    raise Revert(f"{name}[{i}] is not a ciphertext with 0 < c1, c2 < p")
+        policies = self._open_policies(ctx)
         acc = Ciphertext(c1=1, c2=1)
         for policy, ct in zip(policies, enc_vec):
             acc = add_ciphertexts(group, acc, scalar_mul_ciphertext(group, ct, policy))

@@ -269,17 +269,11 @@ class LedgerState:
     def total_supply(self) -> int:
         return sum(self.balances.values())
 
-    # -- views and private inputs -------------------------------------------------
+    # -- views ---------------------------------------------------------------------
 
     def view(self, contract_id: str, method: str, *args):
         contract = self.contracts[contract_id]
         return getattr(contract, method)(ExecutionContext(self, None), *args)
-
-    def open_private_inputs(self, tx: Transaction) -> tuple:
-        if tx.private_envelope is None:
-            raise ValueError("transaction carries no private envelope")
-        raw = hybrid_unwrap(self.group, self.validator_key.sk, tx.private_envelope)
-        return codec.decode_args(raw)
 
     # -- snapshots, hashing, replay --------------------------------------------------
 

@@ -1,9 +1,12 @@
-"""Schnorr signatures and Chaum-Pedersen proofs of correct decryption.
+"""Schnorr signatures and Chaum-Pedersen (DLEQ) proofs.
 
-Both are sigma protocols made non-interactive with Fiat-Shamir; each proof
-type hashes under its own domain string so transcripts cannot be replayed
-across protocols. Nonces are derived deterministically from the secret and
-the transcript, which keeps every proof reproducible for a fixed seed.
+One DLEQ prover and verifier serve every proof of equal discrete logs: a
+payment request's proof of correct decryption, a pool member's partial
+decryption and a VRF output. All are sigma protocols made non-interactive
+with Fiat-Shamir; each proof type hashes under its own domain string so
+transcripts cannot be replayed across protocols. Nonces are derived
+deterministically from the secret and the transcript, which keeps every
+proof reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -29,16 +32,6 @@ class Signature:
         return encode_scalar(self.challenge) + encode_scalar(self.response) + encode_element(self.signer_pk)
 
 
-@dataclass(frozen=True)
-class DecryptionProof:
-    """DLEQ attesting log_g(pk) = log_c1(c2 / g^m) for a claimed plaintext m."""
-
-    commitment_a: int
-    commitment_b: int
-    challenge: int
-    response: int
-
-
 def sign(group: PrimeOrderGroup, sk: int, msg: bytes) -> Signature:
     pk = group.pow_g(sk)
     nonce = hash_to_int("adreward/sig-nonce", encode_scalar(sk), msg) % group.q
@@ -57,48 +50,6 @@ def verify_sig(group: PrimeOrderGroup, pk: int, msg: bytes, sig: Signature) -> b
     big_r = group.pow_g(sig.response) * group.inv(group.power(pk, sig.challenge)) % group.p
     e = group.hash_to_scalar(SIG_DOMAIN, encode_element(pk), encode_element(big_r), msg)
     return e == sig.challenge
-
-
-def _decrypt_transcript(group, pk, c, plaintext_elem, a, b) -> int:
-    return group.hash_to_scalar(
-        DECRYPT_DOMAIN,
-        encode_element(pk),
-        encode_element(c.c1),
-        encode_element(c.c2),
-        encode_element(plaintext_elem),
-        encode_element(a),
-        encode_element(b),
-    )
-
-
-def prove_decryption(group: PrimeOrderGroup, sk: int, c: Ciphertext, m: int) -> DecryptionProof:
-    """Prove that c decrypts to m under the secret key matching pk = g^sk."""
-    pk = group.pow_g(sk)
-    plaintext_elem = group.pow_g(m)
-    w = hash_to_int("adreward/decrypt-nonce", encode_scalar(sk), c.to_bytes(), encode_element(plaintext_elem)) % group.q
-    a = group.pow_g(w)
-    b = group.power(c.c1, w)
-    e = _decrypt_transcript(group, pk, c, plaintext_elem, a, b)
-    z = (w + e * sk) % group.q
-    return DecryptionProof(commitment_a=a, commitment_b=b, challenge=e, response=z)
-
-
-def verify_decryption(group: PrimeOrderGroup, pk: int, c: Ciphertext, m: int, proof: DecryptionProof) -> bool:
-    if m < 0:
-        return False
-    if not (0 <= proof.challenge < group.q and 0 <= proof.response < group.q):
-        return False
-    plaintext_elem = group.pow_g(m)
-    e = _decrypt_transcript(group, pk, c, plaintext_elem, proof.commitment_a, proof.commitment_b)
-    if e != proof.challenge:
-        return False
-    # d = c2 / g^m is c1^sk iff the claim is true
-    d = group.div(c.c2, plaintext_elem)
-    if group.pow_g(proof.response) != proof.commitment_a * group.power(pk, e) % group.p:
-        return False
-    if group.power(c.c1, proof.response) != proof.commitment_b * group.power(d, e) % group.p:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -191,6 +142,30 @@ def dleq_verify(
         # public2^e is 0 (1 when e = 0) and has no inverse
         return group.power(base2, z) == (proof.commitment_b if e == 0 else 0) % p
     return group.multi_power(base2, z, public2, p - 1 - e) == proof.commitment_b % p
+
+
+def _decryption_context(group: PrimeOrderGroup, c: Ciphertext, m: int) -> tuple[bytes, int]:
+    """The DLEQ context and public2 of the claim that c decrypts to m: c2 / g^m = c1^sk.
+
+    The claimed g^m goes into the context because the DLEQ nonce hashes the
+    context but not public2: without it, proofs over one ciphertext for two
+    plaintexts would share a nonce and reveal sk.
+    """
+    plaintext_elem = group.pow_g(m)
+    return c.to_bytes() + encode_element(plaintext_elem), group.div(c.c2, plaintext_elem)
+
+
+def prove_decryption(group: PrimeOrderGroup, sk: int, c: Ciphertext, m: int) -> DleqProof:
+    """Prove that c decrypts to m under the secret key matching pk = g^sk."""
+    context, public2 = _decryption_context(group, c, m)
+    return dleq_prove(group, DECRYPT_DOMAIN, group.g, c.c1, sk, context=context, public2=public2)
+
+
+def verify_decryption(group: PrimeOrderGroup, pk: int, c: Ciphertext, m: int, proof: DleqProof) -> bool:
+    if m < 0:
+        return False
+    context, public2 = _decryption_context(group, c, m)
+    return dleq_verify(group, DECRYPT_DOMAIN, group.g, pk, c.c1, public2, proof, context=context)
 
 
 def aggregate_message(user_pk: int, ciphertext: Ciphertext) -> bytes:

@@ -200,6 +200,35 @@ def test_rejected_claim_retry_leaves_analytics_at_the_oracle(group):
     assert list(campaign.fsc.aggr_clicks) == oracle
 
 
+@pytest.mark.parametrize("vector, index, malform", [
+    ("enc_vec_prime", 1, lambda ct, p: 7),
+    ("enc_vec_prime", 0, lambda ct, p: Ciphertext(ct.c1, 0)),
+    ("enc_vec_prime", 2, lambda ct, p: Ciphertext(0, ct.c2)),
+    ("enc_vec_prime", 2, lambda ct, p: Ciphertext(ct.c1 + p, ct.c2)),
+    ("enc_vec", 0, lambda ct, p: Ciphertext(0, ct.c2)),
+], ids=["int", "c2-zero", "c1-zero", "c1-unreduced", "aggregate-c1-zero"])
+def test_malformed_claim_ciphertext_reverts_and_analytics_stay_at_the_oracle(group, vector, index, malform):
+    campaign = Campaign(group, seed="malformed", with_pool=True)
+    honest = ((3, 0, 2), (1, 1, 0))
+    for i, counts in enumerate(honest):
+        campaign.claim(counts, label=f"user-{i}")
+    attacker = campaign.session((2, 2, 2), label="attacker")
+    vectors = {
+        "enc_vec": list(encrypt_vector(group, attacker.ephemeral.pk, [2, 2, 2], attacker.enc_rng)),
+        "enc_vec_prime": list(encrypt_vector(group, campaign.psc.pool_pk, [2, 2, 2], attacker.enc_rng)),
+    }
+    vectors[vector][index] = malform(vectors[vector][index], group.p)
+    receipt = campaign.ledger.call(attacker.ephemeral, Call(
+        campaign.psc_id, "compute_aggregate",
+        (attacker.ephemeral.pk, tuple(vectors["enc_vec"]), tuple(vectors["enc_vec_prime"])),
+    ))
+    assert receipt.revert_reason == f"Revert: {vector}[{index}] is not a ciphertext with 0 < c1, c2 < p"
+    assert encode_element(attacker.ephemeral.pk) not in campaign.psc.aggregates
+    totals = analytics_round(group, campaign.ledger, campaign.psc_id, campaign.fsc_id, campaign.pool,
+                             len(honest) * campaign.plan.click_cap, campaign.rng.child("analytics"))
+    assert list(totals) == [sum(column) for column in zip(*honest)]
+
+
 # -- payment requests ---------------------------------------------------------------
 
 
@@ -230,10 +259,10 @@ def test_duplicate_address_rejected(campaign, group):
 
 
 def test_payment_request_unknown_aggregate(campaign, group):
-    from adreward.proofs import DecryptionProof, Signature
+    from adreward.proofs import DleqProof, Signature
 
     stranger = keygen(group, DetRng("stranger"))
-    request = (stranger.pk, 1, Signature(1, 2, 3), DecryptionProof(1, 2, 3, 4), b"\x01" * 20)
+    request = (stranger.pk, 1, Signature(1, 2, 3), DleqProof(1, 2, 3, 4), b"\x01" * 20)
     receipt = campaign.ledger.call(stranger, Call(campaign.psc_id, "payment_request", ()), private_args=request)
     assert "NotFound" in receipt.revert_reason
 

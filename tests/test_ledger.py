@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from adreward.codec import decode_args, decode_value, encode_args, encode_value
 from adreward.elgamal import keygen
 from adreward.encoding import DetRng
-from adreward.errors import BadSequence, BadSignature, InsufficientFunds
+from adreward.errors import BadSequence, BadSignature, InsufficientFunds, Revert
 from adreward.hybrid import WrappedKey
-from adreward.ledger import Call, LedgerState, address_from_pk, run_parallel
+from adreward.ledger import Call, ExecutionContext, LedgerState, address_from_pk, run_parallel
 from adreward.proofs import sign
 
 
@@ -128,7 +128,7 @@ def test_private_envelope_round_trip(group, ledger, accounts):
     payload = (accounts[0].pk, 36, b"reward-address-bytes", "context")
     tx = ledger.make_tx(accounts[0], Call("system", "transfer", (address_from_pk(accounts[1].pk), 0)),
                         private_args=payload)
-    assert ledger.open_private_inputs(tx) == payload
+    assert ExecutionContext(ledger, tx).open_private_inputs() == payload
 
 
 def test_tampered_envelope_fails_auth(group, ledger, accounts):
@@ -142,13 +142,13 @@ def test_tampered_envelope_fails_auth(group, ledger, accounts):
         tx, private_envelope=WrappedKey(tx.private_envelope.kem_ciphertext, bytes(sealed)),
     )
     with pytest.raises(AuthFailure):
-        ledger.open_private_inputs(tampered)
+        ExecutionContext(ledger, tampered).open_private_inputs()
 
 
 def test_open_private_inputs_without_envelope_errors(ledger, accounts):
     tx = ledger.make_tx(accounts[0], Call("system", "transfer", (address_from_pk(accounts[1].pk), 0)))
-    with pytest.raises(ValueError):
-        ledger.open_private_inputs(tx)
+    with pytest.raises(Revert, match="no private envelope"):
+        ExecutionContext(ledger, tx).open_private_inputs()
 
 
 def test_privacy_boundary_envelope_args_not_in_public_log(group, ledger, accounts):
@@ -165,7 +165,7 @@ def test_codec_round_trips_every_supported_type(group, rng):
     from adreward.dkg import PartialDecryption
     from adreward.elgamal import Ciphertext
     from adreward.payments import PaymentNote, SettlementBatch, make_note, settle_batch
-    from adreward.proofs import DecryptionProof, DleqProof, Signature
+    from adreward.proofs import DleqProof, Signature
     from adreward.vrf import vrf_keygen, vrf_rand_gen
 
     key = vrf_keygen(group, rng)
@@ -175,7 +175,7 @@ def test_codec_round_trips_every_supported_type(group, rng):
     values = (
         None, True, False, 0, 1 << 200, b"", b"bytes", "text",
         (1, (2, b"three")), Ciphertext(3, 4),
-        Signature(1, 2, 3), DecryptionProof(1, 2, 3, 4), DleqProof(5, 6, 7, 8),
+        Signature(1, 2, 3), DleqProof(5, 6, 7, 8),
         vrf_out, PartialDecryption(2, 9, DleqProof(1, 2, 3, 4)), note,
     )
     for value in values:
@@ -187,14 +187,13 @@ def _pinned_records():
     from adreward.dkg import PartialDecryption
     from adreward.elgamal import Ciphertext
     from adreward.payments import PaymentNote, SettlementBatch
-    from adreward.proofs import DecryptionProof, DleqProof, Signature
+    from adreward.proofs import DleqProof, Signature
     from adreward.vrf import VrfOutput
 
     notes = (PaymentNote(b"\x01" * 32, b"\x02" * 20, 1 << 255, 1 << 32), PaymentNote(b"", b"r", 0, 7))
     records = {
         "ciphertext": Ciphertext(3, (1 << 2047) + 5),
         "signature": Signature(11, 1 << 200, 258),
-        "decryption_proof": DecryptionProof(1, 256, 65535, 65536),
         "dleq_proof": DleqProof(0, 1 << 64, 12345678901234567890, 2),
         "wrapped_key": WrappedKey(Ciphertext(17, 1 << 100), b"\x00sealed\xff"),
         "vrf_output": VrfOutput(1 << 128, 99, DleqProof(4, 3, 2, 1)),
@@ -208,12 +207,12 @@ def _pinned_records():
 
 
 # SHA-256 of encode_value(record), recorded before the codec's record table replaced its
-# per-type branches; any change here changes state hashes and the exported log.
+# per-type branches ("mixed" re-recorded by that codec without the retired 0x07 record);
+# any change here changes state hashes and the exported log.
 _PINNED_CODEC_SHA256 = {
     "ciphertext": "788f804466b969225da3b660596321aaf11d7eaade5b5c9dfdd836eb8eb503f1",
-    "decryption_proof": "907554f75f6ef9f2d6c77d8cd5a8cc023e656fdd9cbf3381af97b5bf317efa91",
     "dleq_proof": "3e1f800571ccbd6a1c261dcc4f0b4d8261e581240eaddaffaf738f915b206357",
-    "mixed": "9ec4981a762d0f6d9dcadc2147f00f0cd6fc7f0a49bea441b795184f764029cf",
+    "mixed": "5c1a7004d00e05a069f52a357fcb9f17c67ee3b909325971189fceb72a736b2d",
     "partial_decryption": "319db8114bef93b9bcd996cb7cad243e0131dd0e98f2a42011a9559fdce0bc8c",
     "payment_note": "2c04fbe3254de760ff15e600e6e718521f05634bd1afce3cc6b7a00918c6a2a2",
     "settlement_batch": "26de895d99e193e5f39ad16335587cf61ee95489d3d16ec1c2638fbbc698bfc3",
@@ -236,15 +235,14 @@ def _encodable():
     from adreward.dkg import PartialDecryption
     from adreward.elgamal import Ciphertext
     from adreward.payments import PaymentNote
-    from adreward.proofs import DecryptionProof, DleqProof, Signature
+    from adreward.proofs import DleqProof, Signature
     from adreward.vrf import VrfOutput
 
     ints = st.integers(min_value=0, max_value=1 << 300)
     dleq = st.builds(DleqProof, ints, ints, ints, ints)
     leaf = st.one_of(
         st.none(), st.booleans(), ints, st.binary(max_size=40), st.text(max_size=8),
-        st.builds(Ciphertext, ints, ints), st.builds(Signature, ints, ints, ints),
-        st.builds(DecryptionProof, ints, ints, ints, ints), dleq,
+        st.builds(Ciphertext, ints, ints), st.builds(Signature, ints, ints, ints), dleq,
         st.builds(VrfOutput, ints, ints, dleq), st.builds(PartialDecryption, ints, ints, dleq),
         st.builds(PaymentNote, st.binary(max_size=32), st.binary(max_size=20), ints, ints),
         st.builds(WrappedKey, st.builds(Ciphertext, ints, ints), st.binary(max_size=40)),
@@ -271,6 +269,15 @@ def test_codec_decodes_arbitrary_bytes_or_raises_value_error(data):
         decode_value(data)
     except ValueError:
         pass
+
+
+def test_codec_retired_tag_0x07_does_not_decode():
+    from adreward.proofs import DleqProof
+
+    # 0x07 once carried a separate decryption-proof record with DleqProof's layout
+    body = encode_value(DleqProof(1, 256, 65535, 65536))[1:]
+    with pytest.raises(ValueError, match="unknown codec tag 0x7"):
+        decode_value(bytes([0x07]) + body)
 
 
 def _parallel_probe(chain_index: int, transfers: int) -> int:

@@ -4,10 +4,10 @@ import pytest
 
 from adreward.dkg import PARTIAL_DOMAIN, first_rejected_partial, partial_decrypt
 from adreward.elgamal import Ciphertext, encrypt, keygen
-from adreward.encoding import DetRng
+from adreward.encoding import DetRng, encode_element
 from adreward.group import FixedBaseTable
 from adreward.proofs import (
-    DecryptionProof,
+    DECRYPT_DOMAIN,
     DleqProof,
     _dleq_transcript,
     dleq_prove,
@@ -108,6 +108,15 @@ def test_decryption_proof_zero_plaintext(group, keypair):
     assert not verify_decryption(group, keypair.pk, c, 1, proof)
 
 
+def test_decryption_proofs_for_two_plaintexts_use_different_nonces(group, keypair):
+    # one nonce under two challenges would give sk = (z - z') / (e - e')
+    c = _setup_ciphertext(group, keypair)
+    honest, false_claim = prove_decryption(group, keypair.sk, c, 36), prove_decryption(group, keypair.sk, c, 37)
+    assert honest.commitment_a != false_claim.commitment_a
+    assert honest.commitment_b != false_claim.commitment_b
+    assert not verify_decryption(group, keypair.pk, c, 37, false_claim)
+
+
 # -- generic DLEQ ------------------------------------------------------------------
 
 
@@ -163,9 +172,16 @@ PROOF_FIELDS = ("commitment_a", "commitment_b", "challenge", "response")
 
 
 def _dleq_statements(group):
-    """(domain, statement, proof, context) for partial-decryption, VRF and generic DLEQs."""
+    """(domain, statement, proof, context) for decryption, partial-decryption, VRF and generic DLEQs."""
     rng = DetRng("dleq-oracle")
     out = []
+    # payment-request decryption: g, user pk, c1, c2 / g^m
+    key = keygen(group, rng.child("decrypt"))
+    c = encrypt(group, key.pk, 36, group.random_scalar(rng))
+    plaintext_elem = group.pow_g(36)
+    out.append((DECRYPT_DOMAIN, dict(base1=group.g, public1=key.pk, base2=c.c1,
+                                     public2=group.div(c.c2, plaintext_elem)),
+                prove_decryption(group, key.sk, c, 36), c.to_bytes() + encode_element(plaintext_elem)))
     # partial decryption: g, share commitment, c1, d
     _, _, _, material = run_dkg(group, n=3, k=2, seed="dleq-oracle")
     c = encrypt(group, material[1].pk_T, 7, group.random_scalar(rng))

@@ -1,8 +1,6 @@
 import json
 
-import pytest
-
-from adreward.bench import BenchmarkReport, run_cohort
+from adreward.bench import benchmark_summary, run_cohort
 from adreward.encoding import DetRng, encode_scalar
 from adreward.scenario import (
     ScenarioConfig,
@@ -80,27 +78,15 @@ def test_contract_storage_dumps_are_json(group):
     assert ledger.contracts[fsc_id].note_log_json_lines() == ""
 
 
-def test_benchmark_report_invariants():
-    report = BenchmarkReport(
-        catalog_size=256, user_count=100, sidechain_count=1,
-        interaction_encryption_s=0.04, request_generation_s=0.01,
-        end_to_end_claim_s=0.06, batch_proof_gen_s=0.1, batch_verify_s=0.0004,
-        users_per_day=1e6, users_per_month=3e7,
-        extrapolation_basis="linear from an 8s budget",
-    )
-    body = report.as_dict()
+def test_benchmark_summary_keys():
+    body = benchmark_summary(catalog=4, users=2, batch=8, budget_s=0.5)
+    assert set(body) == {"schema", "kind", "catalog_size", "user_count", "sidechain_count", "timings", "throughput"}
+    assert (body["kind"], body["catalog_size"], body["user_count"], body["sidechain_count"]) == ("summary", 4, 2, 1)
     assert set(body["timings"]) == {
         "interaction_encryption_s", "request_generation_s", "end_to_end_claim_s",
         "batch_proof_gen_s", "batch_verify_s",
     }
-    assert body["throughput"]["users_per_month"] == 3e7
-    with pytest.raises(ValueError):
-        BenchmarkReport(
-            catalog_size=1, user_count=1, sidechain_count=1,
-            interaction_encryption_s=-0.1, request_generation_s=0,
-            end_to_end_claim_s=0, batch_proof_gen_s=0, batch_verify_s=0,
-            users_per_day=0, users_per_month=0, extrapolation_basis="",
-        )
+    assert set(body["throughput"]) == {"users_per_day", "users_per_month", "extrapolation_basis"}
 
 
 def test_cohort_ends_in_the_same_state_for_the_same_seed():
