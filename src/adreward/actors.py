@@ -25,7 +25,7 @@ from .dkg import (
 from .elgamal import Ciphertext, KeyPair, add_ciphertexts, decrypt_to_element, encrypt_vector, keygen, recover_plaintext
 from .encoding import DetRng, decode_scalar, encode_scalar
 from .errors import BadSignature, NoWinners, PolicyMismatch, Revert
-from .group import FixedBaseTable, PrimeOrderGroup
+from .group import PrimeOrderGroup
 from .hybrid import derive_shared_key, hybrid_wrap, symmetric_open, symmetric_seal
 from .ledger import Call, LedgerState, address_from_pk
 from .payments import PayerLedger, make_note, settle_batch, verify_opening
@@ -565,17 +565,14 @@ def analytics_round(
 
     fsc = ledger.contracts[fsc_id]
     quorum = sorted(fsc.posted_partials)[: pool.cfg.k]
-    # every ad is combined from the same quorum, so each member's commitment gets one table
-    tables = {
-        idx: FixedBaseTable(group, commitment)
-        for idx, commitment in pool.members[0].material.share_commitments.items()
-        if idx in quorum
-    }
+    commitments = pool.members[0].material.share_commitments
     totals = []
-    for ad_index, ct in enumerate(aggregate_cts):
-        partials = [fsc.posted_partials[idx][ad_index] for idx in quorum]
-        elem = combine_partials(group, pool.cfg, ct, partials, tables)
-        totals.append(recover_plaintext(group, elem, recovery_bound))
+    # every ad is combined from the same quorum, so each member's commitment gets one table
+    with group.precomputed(*(commitments[idx] for idx in quorum)):
+        for ad_index, ct in enumerate(aggregate_cts):
+            partials = [fsc.posted_partials[idx][ad_index] for idx in quorum]
+            elem = combine_partials(group, pool.cfg, ct, partials, commitments)
+            totals.append(recover_plaintext(group, elem, recovery_bound))
     totals = tuple(totals)
 
     msg = clicks_message(fsc_id, totals)

@@ -11,12 +11,13 @@ public share commitments before combining with Lagrange coefficients.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .elgamal import Ciphertext
 from .encoding import DetRng, decode_scalar, encode_scalar
 from .errors import InsufficientShares, InvalidConfig, InvalidPartial, NoQualifiedDealers
-from .group import FixedBaseTable, PrimeOrderGroup
+from .group import PrimeOrderGroup
 from .hybrid import WrappedKey, hybrid_unwrap, hybrid_wrap
 from .proofs import DleqProof, dleq_prove, dleq_verify
 
@@ -154,9 +155,9 @@ def verify_partial(
     group: PrimeOrderGroup,
     c: Ciphertext,
     partial: PartialDecryption,
-    share_commitment: int | FixedBaseTable,
+    share_commitment: int,
 ) -> bool:
-    """Check one partial's DLEQ proof; the commitment may be given as its FixedBaseTable."""
+    """Check one partial's DLEQ proof against the member's share commitment."""
     return dleq_verify(
         group,
         PARTIAL_DOMAIN,
@@ -177,12 +178,13 @@ def first_rejected_partial(
 ) -> int | None:
     """Index of the first of one member's partials (paired with cts) that fails, or None.
 
-    The row shares one fixed-base table of the member's share commitment.
+    The row shares one fixed-base table of the member's share commitment. A
+    commitment outside the group gets none and is checked with plain ``pow``.
     """
-    table = FixedBaseTable(group, share_commitment)
-    for index, (c, partial) in enumerate(zip(cts, partials)):
-        if not verify_partial(group, c, partial, table):
-            return index
+    with group.precomputed(share_commitment) if group.is_element(share_commitment) else nullcontext():
+        for index, (c, partial) in enumerate(zip(cts, partials)):
+            if not verify_partial(group, c, partial, share_commitment):
+                return index
     return None
 
 
@@ -204,12 +206,12 @@ def combine_partials(
     cfg: ThresholdConfig,
     c: Ciphertext,
     partials: list[PartialDecryption],
-    share_commitments: dict[int, int | FixedBaseTable],
+    share_commitments: dict[int, int],
 ) -> int:
     """Recover g^m from at least k verified partial decryptions.
 
-    Share commitments may be given as FixedBaseTables when many ciphertexts are
-    combined from the same members.
+    A caller that combines many ciphertexts from the same members registers
+    their share commitments with ``group.precomputed`` around the calls.
     """
     ids = [p.participant_id for p in partials]
     if len(set(ids)) != len(ids):

@@ -9,6 +9,7 @@ configured bound.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .encoding import DetRng, encode_element
@@ -62,20 +63,9 @@ def encrypt_vector(
     rng: DetRng,
     max_plaintext: int = MAX_PLAINTEXT,
 ) -> list[Ciphertext]:
-    if len(values) < 16:
+    # a window table of pk amortizes over a long vector, unless an enclosing scope already holds one
+    with group.precomputed(pk) if len(values) >= 16 else nullcontext():
         return [encrypt(group, pk, v, group.random_scalar(rng), max_plaintext) for v in values]
-    # a per-recipient window table amortizes over the whole vector
-    from .group import FixedBaseTable
-
-    table = FixedBaseTable(group, pk)
-    p = group.p
-    out = []
-    for v in values:
-        if v < 0 or v > max_plaintext:
-            raise PlaintextTooLarge(f"plaintext {v} outside [0, {max_plaintext}]")
-        r = group.random_scalar(rng)
-        out.append(Ciphertext(c1=group.pow_g(r), c2=group.pow_g(v) * table.power(r) % p))
-    return out
 
 
 def add_ciphertexts(group: PrimeOrderGroup, a: Ciphertext, b: Ciphertext) -> Ciphertext:

@@ -4,15 +4,28 @@ The group is the order-q subgroup of quadratic residues modulo a 255-bit safe
 prime p = 2q + 1, which gives exactly what the protocol needs: prime order,
 canonical 32-byte element encodings, and two generators g, h with unknown
 relative discrete log (h is derived by hashing into the group). Exponentiation
-is CPython's C-level ``pow``, with a fixed-base window table for g since g is
-by far the hottest base (key generation, encryption, transcript commitments),
-and Straus' simultaneous exponentiation for products of two powers.
+is CPython's C-level ``pow``, with Straus' simultaneous exponentiation for
+products of two powers and 4-bit fixed-base window tables (Brickell, Gordon,
+McCurley and Wilson) for bases that are raised to many exponents:
+
+* g has one table for the life of the group, since g is by far the hottest
+  base (key generation, encryption, transcript commitments);
+* any other base gets a table only inside a ``with group.precomputed(base):``
+  scope, which ``power`` and ``is_element`` consult and which is emptied again
+  when the scope ends. A campaign's user phases register the consortium key
+  and the pool key this way; a pool member's share commitment is registered
+  while a row of its partial decryptions is checked.
+
+Membership in the subgroup is the Legendre symbol, which for this p is
+computed faster by the Jacobi-symbol loop than by ``pow(a, q, p)``.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 from .encoding import encode_element, hash_to_int
 
@@ -35,6 +48,7 @@ class PrimeOrderGroup:
         self.identity = 1
         self.h = self.hash_to_element("adreward/generator-h", encode_element(g))
         self._g_table: FixedBaseTable | None = None
+        self._tables: dict[int, FixedBaseTable] = {}  # bases of the open precomputed() scopes
         self._bsgs_tables: dict[int, dict[int, int]] = {}
         self._lock = threading.Lock()
 
@@ -44,6 +58,9 @@ class PrimeOrderGroup:
         return a * b % self.p
 
     def power(self, base: int, exponent: int) -> int:
+        table = self._tables.get(base)
+        if table is not None:
+            return table.power(exponent)
         return pow(base, exponent % self.q, self.p)
 
     def inv(self, a: int) -> int:
@@ -61,6 +78,31 @@ class PrimeOrderGroup:
                     self._g_table = FixedBaseTable(self, self.g)
                 table = self._g_table
         return table.power(exponent)
+
+    @contextmanager
+    def precomputed(self, *bases: int) -> Iterator[None]:
+        """Serve ``power`` and ``is_element`` for these bases from window tables until the scope ends.
+
+        Every base must be a group element. A base that another open scope has
+        already registered keeps that scope's table; on exit, normal or not,
+        only the tables this scope added are dropped. A base whose table is
+        dropped while still in use falls back to ``pow`` with the same result.
+        """
+        for base in bases:
+            if not self.is_element(base):
+                raise ValueError(f"cannot precompute powers of a non-element: {base}")
+        added = []
+        with self._lock:
+            for base in bases:
+                if base not in self._tables:
+                    self._tables[base] = FixedBaseTable(self, base)
+                    added.append(base)
+        try:
+            yield
+        finally:
+            with self._lock:
+                for base in added:
+                    del self._tables[base]
 
     def multi_power(self, b1: int, e1: int, b2: int, e2: int) -> int:
         """b1^e1 * b2^e2 mod p for non-negative exponents, as two ``pow`` calls give it.
@@ -91,7 +133,10 @@ class PrimeOrderGroup:
     # -- membership and sampling ----------------------------------------------
 
     def is_element(self, a: int) -> bool:
-        return 0 < a < self.p and pow(a, self.q, self.p) == 1
+        if not 0 < a < self.p:
+            return False
+        # a registered base was checked when its scope opened
+        return a in self._tables or _jacobi(a, self.p) == 1
 
     def random_scalar(self, rng) -> int:
         return rng.nonzero_scalar(self.q)
@@ -154,12 +199,33 @@ class PrimeOrderGroup:
         return None
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0: binary reduction with quadratic reciprocity.
+
+    For a prime n it is the Legendre symbol, so for 0 < a < p it is 1 exactly
+    when a is a quadratic residue, which is what ``pow(a, q, p) == 1`` tests.
+    """
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        if twos:
+            a >>= twos
+            if twos & 1 and n & 7 in (3, 5):
+                sign = -sign
+        if a & n & 3 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
 class FixedBaseTable:
     """4-bit window table for repeated exponentiations of one base.
 
     Building costs ~1k multiplications, about five full ``pow`` calls, so it
     pays off once a base is used more often than that: vector encryption under
-    one recipient key, or checking a pool member's row of partial decryptions.
+    one recipient key, a campaign's user phases under the consortium and pool
+    keys, or checking a pool member's row of partial decryptions.
     """
 
     def __init__(self, group: PrimeOrderGroup, base: int):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .elgamal import Ciphertext
 from .encoding import dhash, encode_element, encode_scalar, hash_to_int
-from .group import FixedBaseTable, PrimeOrderGroup
+from .group import PrimeOrderGroup
 
 SIG_DOMAIN = "adreward/schnorr-sig"
 DECRYPT_DOMAIN = "adreward/decrypt-proof"
@@ -111,7 +111,7 @@ def dleq_verify(
     group: PrimeOrderGroup,
     domain: str,
     base1: int,
-    public1: int | FixedBaseTable,
+    public1: int,
     base2: int,
     public2: int,
     proof: DleqProof,
@@ -119,12 +119,9 @@ def dleq_verify(
 ) -> bool:
     """Check a DLEQ proof; accepts exactly what ``pow`` on both equations accepts.
 
-    ``public1`` may be passed as a FixedBaseTable of it, which a caller builds
-    once when it verifies many proofs against the same public1.
+    A caller that verifies many proofs against one public1 registers it with
+    ``group.precomputed`` around the calls.
     """
-    table = None
-    if isinstance(public1, FixedBaseTable):
-        table, public1 = public1, public1.base
     if not (0 <= proof.challenge < group.q and 0 <= proof.response < group.q):
         return False
     e = _dleq_transcript(group, domain, base1, public1, base2, public2, proof.commitment_a, proof.commitment_b, context)
@@ -133,8 +130,7 @@ def dleq_verify(
     p = group.p
     z = proof.response
     lhs = group.pow_g(z) if base1 == group.g else group.power(base1, z)
-    public1_e = table.power(e) if table is not None else group.power(public1, e)
-    if lhs != proof.commitment_a * public1_e % p:
+    if lhs != proof.commitment_a * group.power(public1, e) % p:
         return False
     # base2^z == b * public2^e, checked as base2^z * public2^(p-1-e) == b in one
     # Straus pass; p-1-e inverts e for any unit mod p, inside the subgroup or not

@@ -278,6 +278,14 @@ class Campaign:
     def fsc(self):
         return self.ledger.contracts[self.fsc_id]
 
+    def user_keys_precomputed(self):
+        """Scope in which the consortium key and the pool key have window tables.
+
+        Every claim encrypts under the pool key; every payment request checks
+        the consortium's signature and wraps its envelope to that key.
+        """
+        return self.ledger.group.precomputed(self.ledger.validator_key.pk, self.psc.pool_pk)
+
 
 def open_campaign(cfg: ScenarioConfig, seed: str, chain_index: int = 0) -> Campaign:
     """Fund a fresh chain, run phase 1 and the pool draw, and create one session per user.
@@ -330,14 +338,16 @@ def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
     fee_shares = plan.fee_shares()
     deposits_total = sum(campaign.balances.values())
 
+    # building the key tables counts as claim time; dropping them as payment-request time
     mark = time.perf_counter()
-    for session in sessions:
-        user_claim(group, ledger, psc_id, session, campaign.psc.pool_pk)
-    timings["claims_s"] = time.perf_counter() - mark
+    with campaign.user_keys_precomputed():
+        for session in sessions:
+            user_claim(group, ledger, psc_id, session, campaign.psc.pool_pk)
+        timings["claims_s"] = time.perf_counter() - mark
 
-    mark = time.perf_counter()
-    for session in sessions:
-        user_payment_request(group, ledger, psc_id, session, cfg.recovery_bound)
+        mark = time.perf_counter()
+        for session in sessions:
+            user_payment_request(group, ledger, psc_id, session, cfg.recovery_bound)
     timings["payment_requests_s"] = time.perf_counter() - mark
 
     mark = time.perf_counter()

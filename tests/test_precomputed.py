@@ -1,0 +1,177 @@
+"""Scoped fixed-base tables and the Legendre-symbol membership test.
+
+``group.precomputed(*bases)`` registers window tables that ``power`` and
+``is_element`` consult; the scope must leave nothing behind, and neither
+answer may differ from plain ``pow``.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adreward import bench, scenario
+from adreward.elgamal import keygen
+from adreward.encoding import DetRng, encode_element, encode_scalar, hash_to_int
+from adreward.group import P, Q
+from adreward.proofs import SIG_DOMAIN, Signature, sign, verify_sig
+
+
+def _oracle_is_element(a: int) -> bool:
+    return 0 < a < P and pow(a, Q, P) == 1
+
+
+def _member(group, label: str) -> int:
+    return group.pow_g(group.random_scalar(DetRng(label)))
+
+
+_squares = st.integers(min_value=1, max_value=P - 1).map(lambda x: x * x % P)
+_candidates = st.one_of(
+    st.integers(min_value=-2 * P, max_value=2 * P),
+    st.sampled_from([0, 1, 2, 4, P - 1, P, P + 1, P + 4, -1, -4, 2 * P, -2 * P]),
+    _squares,
+    _squares.map(lambda s: P - s),
+    _squares.map(lambda s: s + P),
+    _squares.map(lambda s: -s),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=_candidates)
+def test_is_element_matches_euler_criterion(group, a):
+    assert group.is_element(a) == _oracle_is_element(a)
+
+
+def test_is_element_answers_registered_bases_and_their_negations(group):
+    pk = _member(group, "registered-member")
+    with group.precomputed(pk):
+        assert group.is_element(pk)
+        assert not group.is_element(P - pk)
+        assert not group.is_element(pk + P)
+
+
+def test_power_on_a_registered_base_matches_pow(group):
+    base = _member(group, "registered-power")
+    exponents = (0, 1, Q - 1, Q, Q + 1, -1, 1 << 300)
+    with group.precomputed(base):
+        table = group._tables[base]
+        served = []
+        original = table.power
+        table.power = lambda e: served.append(e) or original(e)
+        for e in exponents:
+            assert group.power(base, e) == pow(base, e % Q, P)
+    assert served == list(exponents)  # every power came from the table
+
+
+@pytest.mark.parametrize("value", [0, P, P + 4, -4, P - 4, P - 1], ids=["0", "p", "p+4", "-4", "p-4", "p-1"])
+def test_precomputed_refuses_a_non_element(group, value):
+    member = _member(group, "refused-neighbour")
+    with pytest.raises(ValueError):
+        with group.precomputed(member, value):
+            pass
+    assert group._tables == {}
+
+
+def test_precomputed_refuses_the_negation_of_a_member(group):
+    pk = _member(group, "refused-negation")
+    with pytest.raises(ValueError):
+        with group.precomputed(P - pk):
+            pass
+    assert group._tables == {}
+
+
+def test_scope_leaves_nothing_registered(group):
+    a, b = _member(group, "scope-a"), _member(group, "scope-b")
+    with group.precomputed(a, b, a):
+        assert set(group._tables) == {a, b}
+    assert group._tables == {}
+
+    with pytest.raises(RuntimeError):
+        with group.precomputed(a):
+            raise RuntimeError("raised inside the scope")
+    assert group._tables == {}
+
+    with group.precomputed(a):
+        outer = group._tables[a]
+        with group.precomputed(a, b):
+            assert group._tables[a] is outer  # the enclosing scope's table is reused
+        assert set(group._tables) == {a}  # the inner scope drops only what it added
+        assert group.power(a, 12345) == pow(a, 12345, P)
+    assert group._tables == {}
+
+
+def _forge_with_negated_key(group, sk: int, msg: bytes) -> Signature:
+    """A signature under the non-residue p - pk that passes every check of verify_sig but membership.
+
+    (p - pk)^e = (-1)^e * pk^e, so the commitment is g^k or -g^k, whichever
+    makes the challenge's parity cancel the sign.
+    """
+    forged_pk = P - group.pow_g(sk)
+    for counter in range(1000):
+        k = hash_to_int("test/forge-nonce", encode_scalar(counter)) % Q
+        for negate in (False, True):
+            big_r = group.pow_g(k)
+            if negate:
+                big_r = P - big_r
+            e = group.hash_to_scalar(SIG_DOMAIN, encode_element(forged_pk), encode_element(big_r), msg)
+            if e % 2 == negate:
+                return Signature(challenge=e, response=(k + e * sk) % Q, signer_pk=forged_pk)
+    raise AssertionError("no forgery found")
+
+
+def test_verify_sig_rejects_a_signer_key_outside_the_group(group):
+    key = keygen(group, DetRng("negated-signer"))
+    msg = b"aggregate under a negated key"
+    forged = _forge_with_negated_key(group, key.sk, msg)
+    forged_pk = forged.signer_pk
+    # the Schnorr equation itself holds, so only the membership test can refuse it
+    big_r = pow(group.g, forged.response, P) * pow(pow(forged_pk, forged.challenge, P), -1, P) % P
+    assert group.hash_to_scalar(SIG_DOMAIN, encode_element(forged_pk), encode_element(big_r), msg) == forged.challenge
+    assert verify_sig(group, key.pk, msg, sign(group, key.sk, msg))
+    assert not verify_sig(group, forged_pk, msg, forged)
+    with group.precomputed(key.pk):
+        assert not verify_sig(group, forged_pk, msg, forged)
+
+
+def _spy_registry(monkeypatch, module, name, group, seen):
+    """Record, at every call of module.name(group, ledger, psc_id, ...), the registered bases and the user keys."""
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        ledger, psc_id = args[1], args[2]
+        user_keys = frozenset((ledger.validator_key.pk, ledger.contracts[psc_id].pool_pk))
+        seen.add((frozenset(group._tables), user_keys))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_run_campaign_registers_the_user_phase_keys_and_drops_them(group, monkeypatch):
+    cfg = scenario.ScenarioConfig(name="precomputed", seed=5, users=3, num_ads=4, num_advertisers=2,
+                                  pool_registered=6, pool_expected=3, policy_max=255, click_cap=15, fee=10)
+    during_users, during_analytics = set(), set()
+    _spy_registry(monkeypatch, scenario, "user_claim", group, during_users)
+    _spy_registry(monkeypatch, scenario, "user_payment_request", group, during_users)
+    _spy_registry(monkeypatch, scenario, "analytics_round", group, during_analytics)
+    report = scenario.run_campaign(cfg)
+    assert report.passed
+    ((registered, user_keys),) = during_users
+    assert registered == user_keys and len(user_keys) == 2
+    assert [registered for registered, _ in during_analytics] == [frozenset()]
+    assert group._tables == {}
+    assert group._g_table is not None and group._g_table.base == group.g
+
+
+def test_bench_cohort_serves_users_with_the_campaign_key_tables(group, monkeypatch):
+    served_with_tables = []
+    original = bench._serve_user
+
+    def serve(cfg, campaign, session):
+        user_keys = {campaign.ledger.validator_key.pk, campaign.psc.pool_pk}
+        served_with_tables.append(set(group._tables) == user_keys)
+        original(cfg, campaign, session)
+
+    monkeypatch.setattr(bench, "_serve_user", serve)
+    result = bench.run_cohort(3, catalog=4, seed="precomputed-cohort")
+    assert result["queued"] == 3
+    assert served_with_tables == [True] * 3
+    assert group._tables == {}

@@ -5,7 +5,6 @@ import pytest
 from adreward.dkg import PARTIAL_DOMAIN, first_rejected_partial, partial_decrypt
 from adreward.elgamal import Ciphertext, encrypt, keygen
 from adreward.encoding import DetRng, encode_element
-from adreward.group import FixedBaseTable
 from adreward.proofs import (
     DECRYPT_DOMAIN,
     DleqProof,
@@ -272,13 +271,12 @@ def test_dleq_verify_matches_oracle_on_chosen_commitments(group):
     assert verdicts == {True, False}
 
 
-def test_dleq_verify_with_public1_table_matches_plain_form(group):
+def test_dleq_verify_with_public1_registered_matches_plain_form(group):
     for domain, statement, proof, context in _dleq_statements(group):
-        table = FixedBaseTable(group, statement["public1"])
         for mutated in (proof, dataclasses.replace(proof, response=(proof.response + 1) % group.q)):
             plain = dleq_verify(group, domain, *statement.values(), mutated, context=context)
-            tabled = dleq_verify(group, domain, statement["base1"], table, statement["base2"], statement["public2"],
-                                 mutated, context=context)
+            with group.precomputed(statement["public1"], statement["base1"]):
+                tabled = dleq_verify(group, domain, *statement.values(), mutated, context=context)
             assert plain == tabled == (mutated is proof)
 
 
