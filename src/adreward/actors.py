@@ -22,7 +22,16 @@ from .dkg import (
     open_share,
     partial_decrypt,
 )
-from .elgamal import Ciphertext, KeyPair, add_ciphertexts, decrypt_to_element, encrypt_vector, keygen, recover_plaintext
+from .elgamal import (
+    Ciphertext,
+    KeyPair,
+    add_ciphertexts,
+    decrypt_to_element,
+    encrypt_vector,
+    encrypt_vector_to_self,
+    keygen,
+    recover_plaintext,
+)
 from .encoding import DetRng, decode_scalar, encode_scalar
 from .errors import BadSignature, NoWinners, PolicyMismatch, Revert
 from .group import PrimeOrderGroup
@@ -399,7 +408,7 @@ def _corrupt_round(group, round_, winners, rng):
 
 def user_claim(group: PrimeOrderGroup, ledger: LedgerState, psc_id: str, session: UserSession, pool_pk: int):
     """Encrypt the interaction vector under both keys and request the aggregate."""
-    enc_vec = tuple(encrypt_vector(group, session.ephemeral.pk, list(session.counts), session.enc_rng))
+    enc_vec = tuple(encrypt_vector_to_self(group, session.ephemeral, list(session.counts), session.enc_rng))
     enc_vec_prime = tuple(encrypt_vector(group, pool_pk, list(session.counts), session.enc_rng))
     receipt = ledger.call(session.ephemeral, Call(
         psc_id, "compute_aggregate",

@@ -23,7 +23,7 @@ import time
 from contextlib import contextmanager
 
 from .actors import UserSession, user_claim, user_payment_request
-from .elgamal import decrypt_to_element, encrypt_vector, keygen, recover_plaintext
+from .elgamal import decrypt_to_element, encrypt_vector_to_self, keygen, recover_plaintext
 from .encoding import DetRng
 from .group import default_group
 from .ledger import parallel_processes, run_parallel
@@ -81,7 +81,9 @@ def bench_client(sizes: tuple[int, ...] = (64, 128, 256), runs: int = 10, seed: 
     reflect typical plaintext-recovery depth rather than one arbitrary value.
     The aggregates are computed before any timing. Each run then times every
     size in turn, and a request-generation sample is the mean of several
-    repetitions, taken one size after another.
+    repetitions, taken one size after another. Interaction encryption is
+    ``encrypt_vector_to_self``, as in a claim: the user encrypts under their
+    own key.
     """
     from .elgamal import Ciphertext, add_ciphertexts, scalar_mul_ciphertext
 
@@ -96,7 +98,7 @@ def bench_client(sizes: tuple[int, ...] = (64, 128, 256), runs: int = 10, seed: 
         per_run = []
         for run in range(runs):
             counts = [rng.randint(0, 255) for _ in range(size)]
-            vector = encrypt_vector(group, user.pk, counts, rng.child(f"enc-{size}-{run}"))
+            vector = encrypt_vector_to_self(group, user, counts, rng.child(f"enc-{size}-{run}"))
             aggregate = Ciphertext(c1=1, c2=1)
             for p, ct in zip(policies, vector):
                 aggregate = add_ciphertexts(group, aggregate, scalar_mul_ciphertext(group, ct, p))
@@ -112,7 +114,7 @@ def bench_client(sizes: tuple[int, ...] = (64, 128, 256), runs: int = 10, seed: 
             counts, _ = per_run[run]
             enc_rng = rng.child(f"enc-{size}-{run}")
             t0 = time.perf_counter()
-            encrypt_vector(group, user.pk, counts, enc_rng)
+            encrypt_vector_to_self(group, user, counts, enc_rng)
             enc_samples[size].append(time.perf_counter() - t0)
 
         # one request per size in turn, so a slow moment of the host hits every size alike
@@ -232,7 +234,7 @@ def run_cohort(users: int, catalog: int = 256, seed: str = "bench-cohort") -> di
     user's crypto and signing plus the ledger's checks and execution of both
     transactions. Users are served one after another, so it leaves out the
     wait behind other users, which ``cohort_wall_s`` covers. As in a campaign,
-    the users are served with window tables of the consortium and pool keys;
+    the users are served with fixed-base tables of the consortium and pool keys;
     building them is part of ``cohort_wall_s`` but of no user's latency.
     """
     cfg = _bench_config(users, catalog)

@@ -9,7 +9,6 @@ configured bound.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .encoding import DetRng, encode_element
@@ -42,6 +41,11 @@ def keygen(group: PrimeOrderGroup, rng: DetRng | bytes | int | str) -> KeyPair:
     return KeyPair(sk=sk, pk=group.pow_g(sk))
 
 
+def _check_plaintext(m: int, max_plaintext: int) -> None:
+    if m < 0 or m > max_plaintext:
+        raise PlaintextTooLarge(f"plaintext {m} outside [0, {max_plaintext}]")
+
+
 def encrypt(
     group: PrimeOrderGroup,
     pk: int,
@@ -49,8 +53,7 @@ def encrypt(
     r: int,
     max_plaintext: int = MAX_PLAINTEXT,
 ) -> Ciphertext:
-    if m < 0 or m > max_plaintext:
-        raise PlaintextTooLarge(f"plaintext {m} outside [0, {max_plaintext}]")
+    _check_plaintext(m, max_plaintext)
     c1 = group.pow_g(r)
     c2 = group.pow_g(m) * group.power(pk, r) % group.p
     return Ciphertext(c1=c1, c2=c2)
@@ -63,9 +66,27 @@ def encrypt_vector(
     rng: DetRng,
     max_plaintext: int = MAX_PLAINTEXT,
 ) -> list[Ciphertext]:
-    # a window table of pk amortizes over a long vector, unless an enclosing scope already holds one
-    with group.precomputed(pk) if len(values) >= 16 else nullcontext():
-        return [encrypt(group, pk, v, group.random_scalar(rng), max_plaintext) for v in values]
+    return [encrypt(group, pk, v, group.random_scalar(rng), max_plaintext) for v in values]
+
+
+def encrypt_vector_to_self(
+    group: PrimeOrderGroup,
+    key: KeyPair,
+    values: list[int],
+    rng: DetRng,
+    max_plaintext: int = MAX_PLAINTEXT,
+) -> list[Ciphertext]:
+    """``encrypt_vector(group, key.pk, values, rng, max_plaintext)``, by the owner of the key.
+
+    g^m * pk^r = g^(m + sk*r), so both components come from g's table. The
+    randomness is drawn and the plaintexts checked in the same order.
+    """
+    out = []
+    for v in values:
+        r = group.random_scalar(rng)
+        _check_plaintext(v, max_plaintext)
+        out.append(Ciphertext(c1=group.pow_g(r), c2=group.pow_g(v + key.sk * r)))
+    return out
 
 
 def add_ciphertexts(group: PrimeOrderGroup, a: Ciphertext, b: Ciphertext) -> Ciphertext:

@@ -279,7 +279,7 @@ class Campaign:
         return self.ledger.contracts[self.fsc_id]
 
     def user_keys_precomputed(self):
-        """Scope in which the consortium key and the pool key have window tables.
+        """Scope in which the consortium key and the pool key have fixed-base tables.
 
         Every claim encrypts under the pool key; every payment request checks
         the consortium's signature and wraps its envelope to that key.

@@ -9,6 +9,7 @@ from adreward.elgamal import (
     decrypt_to_element,
     encrypt,
     encrypt_vector,
+    encrypt_vector_to_self,
     keygen,
     recover_plaintext,
     scalar_mul_ciphertext,
@@ -130,6 +131,26 @@ def test_encrypt_vector_matches_scalar_encrypt_semantics(group, keypair):
     assert [decrypt(group, keypair.sk, c) for c in cts] == values
     with pytest.raises(PlaintextTooLarge):
         encrypt_vector(group, keypair.pk, [0] * 20 + [MAX_PLAINTEXT + 1], rng)
+
+
+@pytest.mark.parametrize("length", [0, 1, 4, 16, 64])
+def test_encrypt_vector_to_self_equals_encrypt_vector(group, keypair, length):
+    value_rng = DetRng(f"self-values-{length}")
+    values = [value_rng.randint(0, MAX_PLAINTEXT) for _ in range(length)]
+    own_rng, rng = DetRng(f"self-{length}"), DetRng(f"self-{length}")
+    assert encrypt_vector_to_self(group, keypair, values, own_rng) == encrypt_vector(group, keypair.pk, values, rng)
+    assert own_rng.bytes(32) == rng.bytes(32)
+
+
+@pytest.mark.parametrize("bad", [-1, 1001])
+def test_encrypt_vector_to_self_checks_the_range_in_order(group, keypair, bad):
+    values = [0, 1000, bad, 7]
+    own_rng, rng = DetRng("self-range"), DetRng("self-range")
+    with pytest.raises(PlaintextTooLarge):
+        encrypt_vector_to_self(group, keypair, values, own_rng, max_plaintext=1000)
+    with pytest.raises(PlaintextTooLarge):
+        encrypt_vector(group, keypair.pk, values, rng, max_plaintext=1000)
+    assert own_rng.bytes(32) == rng.bytes(32)
 
 
 def test_mixing_keys_yields_garbage(group, rng):

@@ -1,6 +1,9 @@
+import builtins
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adreward import group as group_module
 from adreward.encoding import DetRng, decode_element, decode_scalar, encode_element, encode_scalar
 from adreward.group import FixedBaseTable, P, Q, PrimeOrderGroup, default_group
 
@@ -36,13 +39,36 @@ def test_pow_g_matches_generic_pow(group):
     assert group.pow_g(group.q) == 1  # exponent reduced mod q
 
 
-def test_fixed_base_table_matches_generic_pow(group):
-    rng = DetRng("table")
-    base = group.pow_g(group.random_scalar(rng))
+_elements = st.integers(min_value=1, max_value=Q - 1).map(lambda k: pow(4, k, P))
+_table_exponents = st.one_of(
+    st.integers(min_value=-(1 << 300), max_value=1 << 300),
+    st.sampled_from([0, 1, (1 << 16) - 1, 1 << 16, (1 << 32) - 1, 1 << 32, Q - 1, Q, Q + 1, -1, (1 << 256) - 1]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=_elements, exponents=st.lists(_table_exponents, min_size=1, max_size=10))
+def test_fixed_base_table_matches_generic_pow(group, base, exponents):
     table = FixedBaseTable(group, base)
-    for _ in range(20):
-        e = group.random_scalar(rng)
-        assert table.power(e) == pow(base, e, group.p)
+    for e in exponents:
+        assert table.power(e) == pow(base, e % Q, P)
+
+
+def test_fixed_base_table_sends_exponents_below_2_16_to_pow(group, monkeypatch):
+    table = FixedBaseTable(group, group.h)
+    calls = []
+    monkeypatch.setattr(group_module, "pow", lambda *args: calls.append(args) or builtins.pow(*args), raising=False)
+    # (exponent, whether C pow serves it): the bound applies after reduction mod q
+    cases = [(0, True), ((1 << 16) - 1, True), (1 << 16, False), (Q + 5, True), (Q + (1 << 16), False), (-1, False)]
+    for e, by_pow in cases:
+        calls.clear()
+        assert table.power(e) == builtins.pow(group.h, e % Q, P)
+        assert bool(calls) == by_pow, e
+
+
+def test_fixed_base_table_stores_at_most_1024_integers(group):
+    table = FixedBaseTable(group, group.h)
+    assert sum(len(sub) for sub in table._subtables) <= 1024
 
 
 def test_pow_g_uses_one_shared_fixed_base_table(group):
