@@ -35,7 +35,7 @@ from .elgamal import (
 from .encoding import DetRng, decode_scalar, encode_scalar
 from .errors import BadSignature, NoWinners, PolicyMismatch, Revert
 from .group import PrimeOrderGroup
-from .hybrid import derive_shared_key, hybrid_wrap, symmetric_open, symmetric_seal
+from .hybrid import derive_shared_keys, hybrid_wrap, symmetric_open, symmetric_seal
 from .ledger import Call, LedgerState, address_from_pk
 from .payments import PayerLedger, make_note, settle_batch, verify_opening
 from .proofs import aggregate_message, prove_decryption, sign, verify_sig
@@ -105,6 +105,18 @@ class CampaignPlan:
         return shares
 
 
+def policy_keys(
+    group: PrimeOrderGroup, own_sk: int, peer_pk: int, campaign_id: str, ad_indices: Sequence[int],
+) -> dict[int, bytes]:
+    """The keys that seal an advertiser's policies, by ad index, from one Diffie-Hellman exponentiation.
+
+    The advertiser and the facilitator derive the same keys, each from its own
+    secret and the other's public key.
+    """
+    labels = (f"{campaign_id}/policy/{i}" for i in ad_indices)
+    return dict(zip(ad_indices, derive_shared_keys(group, own_sk, peer_pk, labels)))
+
+
 class Advertiser:
     def __init__(self, group: PrimeOrderGroup, adv_id: str, plan: CampaignPlan, rng: DetRng):
         self.group = group
@@ -121,10 +133,7 @@ class Advertiser:
         return address_from_pk(self.account.pk)
 
     def symmetric_keys(self, cf_dh_pk: int, campaign_id: str) -> dict[int, bytes]:
-        return {
-            i: derive_shared_key(self.group, self.dh_key.sk, cf_dh_pk, f"{campaign_id}/policy/{i}")
-            for i in self.ad_indices
-        }
+        return policy_keys(self.group, self.dh_key.sk, cf_dh_pk, campaign_id, self.ad_indices)
 
     def sealed_policies(self, cf_dh_pk: int, campaign_id: str) -> dict[int, bytes]:
         keys = self.symmetric_keys(cf_dh_pk, campaign_id)
@@ -238,10 +247,7 @@ def phase1_setup(
     keys_by_index: dict[int, bytes] = {}
     for adv in advertisers:
         sealed = adv.sealed_policies(cf.dh_key.pk, campaign_id)
-        keys = {
-            i: derive_shared_key(group, cf.dh_key.sk, adv.dh_key.pk, f"{campaign_id}/policy/{i}")
-            for i in adv.ad_indices
-        }
+        keys = policy_keys(group, cf.dh_key.sk, adv.dh_key.pk, campaign_id, adv.ad_indices)
         for i, blob in sealed.items():
             if decode_scalar(symmetric_open(keys[i], blob)) != plan.policies[i]:
                 raise PolicyMismatch(f"advertiser {adv.adv_id} sealed a different value for ad {i}")

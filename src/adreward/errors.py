@@ -19,6 +19,10 @@ class AuthFailure(AdRewardError):
     """Authenticated decryption failed (tamper or wrong key)."""
 
 
+class InvalidPublicKey(AdRewardError):
+    """A peer's public key is not a group element other than the identity."""
+
+
 class InvalidConfig(AdRewardError):
     """Draw or threshold configuration violates its invariants."""
 

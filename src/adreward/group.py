@@ -13,9 +13,15 @@ see ``FixedBaseTable``) for bases that are raised to many exponents:
   under their own key from it too, as g^m * pk^r = g^(m + sk*r);
 * any other base gets a table only inside a ``with group.precomputed(base):``
   scope, which ``power`` and ``is_element`` consult and which is emptied again
-  when the scope ends. A campaign's user phases register the consortium key
-  and the pool key this way; a pool member's share commitment is registered
-  while a row of its partial decryptions is checked.
+  when the scope ends. A campaign registers, per phase, the keys that the
+  phase raises about once per ad or per user (``scenario.Campaign`` names the
+  three scopes): phase 1 the consortium key, to which every policy key is
+  wrapped, and the facilitator's account key, which signs every setup
+  transaction; the user phases the consortium key and the pool key; settlement
+  h, under which every payment note is committed and opened, and the
+  facilitator's key, which signs every ``payment_processed``. A pool member's
+  share commitment is registered while a row of its partial decryptions is
+  checked.
 
 A table holds 4 x 256 integers (68 KiB) and costs about as much to build as
 four or five full ``pow`` calls. A power takes about 39 modular

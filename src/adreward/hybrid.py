@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .elgamal import Ciphertext
 from .encoding import DetRng, dhash, encode_element
-from .errors import AuthFailure
+from .errors import AuthFailure, InvalidPublicKey
 from .group import PrimeOrderGroup
 
 _NONCE_BYTES = 16
@@ -77,10 +78,18 @@ def symmetric_open(key: bytes, sealed: bytes) -> bytes:
     return _open(key, sealed)
 
 
-def derive_shared_key(group: PrimeOrderGroup, own_sk: int, peer_pk: int, label: str) -> bytes:
-    """Diffie-Hellman shared key between two group key pairs."""
-    shared = group.power(peer_pk, own_sk)
-    return dhash("adreward/dh-key", label.encode(), encode_element(shared))
+def derive_shared_keys(group: PrimeOrderGroup, own_sk: int, peer_pk: int, labels: Iterable[str]) -> list[bytes]:
+    """Diffie-Hellman shared keys between two group key pairs, one per label.
+
+    The shared element is computed once and every key is hashed from it under
+    its own label. A peer key outside the group, or the identity, is refused:
+    raised to any secret, 1 gives 1 and p - 1 gives +-1, so anyone could
+    compute the "shared" keys.
+    """
+    if peer_pk == group.identity or not group.is_element(peer_pk):
+        raise InvalidPublicKey(f"peer key is not a non-identity group element: {peer_pk}")
+    shared = encode_element(group.power(peer_pk, own_sk))
+    return [dhash("adreward/dh-key", label.encode(), shared) for label in labels]
 
 
 def hybrid_wrap(

@@ -278,13 +278,34 @@ class Campaign:
     def fsc(self):
         return self.ledger.contracts[self.fsc_id]
 
+    # Each phase that raises the same long-lived keys many times runs in a scope
+    # that gives them fixed-base tables; the pool draw and the analytics do not.
+
+    @staticmethod
+    def setup_keys_precomputed(ledger: LedgerState, cf: CampaignFacilitator):
+        """Phase 1's scope, in which the consortium key and the facilitator's account key have tables.
+
+        Every ad's policy key is wrapped to the consortium key, and the ledger
+        checks every facilitator transaction (about one per ad) against the
+        facilitator's key.
+        """
+        return ledger.group.precomputed(ledger.validator_key.pk, cf.account.pk)
+
     def user_keys_precomputed(self):
-        """Scope in which the consortium key and the pool key have fixed-base tables.
+        """The user phases' scope, in which the consortium key and the pool key have tables.
 
         Every claim encrypts under the pool key; every payment request checks
         the consortium's signature and wraps its envelope to that key.
         """
         return self.ledger.group.precomputed(self.ledger.validator_key.pk, self.psc.pool_pk)
+
+    def settlement_keys_precomputed(self):
+        """Settlement's scope, in which h and the facilitator's account key have tables.
+
+        Every payment note commits to its blinding under h and every user checks
+        that opening; the facilitator signs one ``payment_processed`` per user.
+        """
+        return self.ledger.group.precomputed(self.ledger.group.h, self.cf.account.pk)
 
 
 def open_campaign(cfg: ScenarioConfig, seed: str, chain_index: int = 0) -> Campaign:
@@ -308,7 +329,8 @@ def open_campaign(cfg: ScenarioConfig, seed: str, chain_index: int = 0) -> Campa
         for adv in advertisers
     }
     ledger = LedgerState.genesis(group, seed, balances, f"chain-{chain_index}")
-    psc_id, fsc_id = phase1_setup(group, ledger, cf, advertisers, f"c{chain_index}")
+    with Campaign.setup_keys_precomputed(ledger, cf):
+        psc_id, fsc_id = phase1_setup(group, ledger, cf, advertisers, f"c{chain_index}")
     timings["phase1_s"] = time.perf_counter() - started
 
     mark = time.perf_counter()
@@ -366,16 +388,18 @@ def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
         # shortfall must exceed the fee slack before refunds feel it
         expected_refunds = deposits_total - sum(fsc.payment_queue.values()) - cfg.fee
         overdraw = cfg.fee + min(cfg.misbehavior_delta, max(expected_refunds, 0))
-    outcome = cf_settle(group, ledger, fsc_id, cf, campaign.rng.child("settle"), underpay=underpay, overdraw=overdraw)
-    for session in sessions:
-        if session.reward_address in outcome.openings:
-            session.opening = outcome.openings[session.reward_address]
-    for session in sessions:
-        user_check_payment(group, ledger, fsc_id, session)
-    mark_payments_processed(ledger, fsc_id, cf, outcome)
-    for adv in advertisers:
-        ledger.call(adv.account, Call(fsc_id, "claim_insufficient_refund", (adv.adv_id,)))
-    fee_receipt = ledger.call(cf.account, Call(fsc_id, "pay_processing_fees", ()))
+    with campaign.settlement_keys_precomputed():
+        settle_rng = campaign.rng.child("settle")
+        outcome = cf_settle(group, ledger, fsc_id, cf, settle_rng, underpay=underpay, overdraw=overdraw)
+        for session in sessions:
+            if session.reward_address in outcome.openings:
+                session.opening = outcome.openings[session.reward_address]
+        for session in sessions:
+            user_check_payment(group, ledger, fsc_id, session)
+        mark_payments_processed(ledger, fsc_id, cf, outcome)
+        for adv in advertisers:
+            ledger.call(adv.account, Call(fsc_id, "claim_insufficient_refund", (adv.adv_id,)))
+        fee_receipt = ledger.call(cf.account, Call(fsc_id, "pay_processing_fees", ()))
     timings["settlement_s"] = time.perf_counter() - mark
 
     # -- oracle comparisons ---------------------------------------------------

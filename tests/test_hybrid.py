@@ -1,10 +1,11 @@
 import pytest
 
 from adreward.elgamal import keygen
-from adreward.encoding import DetRng
-from adreward.errors import AuthFailure
+from adreward.encoding import DetRng, dhash, encode_element
+from adreward.errors import AuthFailure, InvalidPublicKey
+from adreward.group import P
 from adreward.hybrid import (
-    derive_shared_key,
+    derive_shared_keys,
     hybrid_unwrap,
     hybrid_wrap,
     symmetric_open,
@@ -70,7 +71,21 @@ def test_symmetric_seal_open_and_tamper(rng):
 def test_dh_shared_key_agreement(group):
     a = keygen(group, DetRng("party-a"))
     b = keygen(group, DetRng("party-b"))
-    k_ab = derive_shared_key(group, a.sk, b.pk, "campaign/policy/3")
-    k_ba = derive_shared_key(group, b.sk, a.pk, "campaign/policy/3")
+    labels = ["campaign/policy/3", "campaign/policy/4"]
+    k_ab = derive_shared_keys(group, a.sk, b.pk, labels)
+    k_ba = derive_shared_keys(group, b.sk, a.pk, iter(labels))
     assert k_ab == k_ba
-    assert derive_shared_key(group, a.sk, b.pk, "campaign/policy/4") != k_ab
+    assert len(set(k_ab)) == 2
+    # every key is hashed from the one shared element under its own label
+    shared = encode_element(pow(b.pk, a.sk, P))
+    assert k_ab == [dhash("adreward/dh-key", label.encode(), shared) for label in labels]
+    assert derive_shared_keys(group, a.sk, b.pk, []) == []
+
+
+@pytest.mark.parametrize("peer_pk", [0, 1, P - 1, P], ids=["0", "identity", "p-1", "p"])
+def test_dh_refuses_a_peer_key_that_is_not_a_non_identity_element(group, peer_pk):
+    own = keygen(group, DetRng("dh-own"))
+    with pytest.raises(InvalidPublicKey):
+        derive_shared_keys(group, own.sk, peer_pk, ["campaign/policy/0"])
+    valid = keygen(group, DetRng("dh-valid-peer")).pk
+    assert len(derive_shared_keys(group, own.sk, valid, ["campaign/policy/0"])) == 1

@@ -5,6 +5,8 @@
 answer may differ from plain ``pow``.
 """
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from adreward import bench, scenario
 from adreward.elgamal import keygen
 from adreward.encoding import DetRng, encode_element, encode_scalar, hash_to_int
+from adreward.errors import PolicyMismatch, Revert
 from adreward.group import P, Q
 from adreward.proofs import SIG_DOMAIN, Signature, sign, verify_sig
 
@@ -132,33 +135,142 @@ def test_verify_sig_rejects_a_signer_key_outside_the_group(group):
         assert not verify_sig(group, forged_pk, msg, forged)
 
 
-def _spy_registry(monkeypatch, module, name, group, seen):
-    """Record, at every call of module.name(group, ledger, psc_id, ...), the registered bases and the user keys."""
-    original = getattr(module, name)
+_SMALL_CAMPAIGN = dict(seed=5, users=3, num_ads=4, num_advertisers=2, pool_registered=6, pool_expected=3,
+                       policy_max=255, click_cap=15, fee=10)
 
-    def spy(*args, **kwargs):
-        ledger, psc_id = args[1], args[2]
-        user_keys = frozenset((ledger.validator_key.pk, ledger.contracts[psc_id].pool_pk))
-        seen.add((frozenset(group._tables), user_keys))
-        return original(*args, **kwargs)
+# run_campaign's steps, by the phase they begin or belong to; a phase lasts until the next one begins
+_PHASE_STEPS = {
+    "phase1_setup": "phase 1",
+    "pool_selection": "pool draw",
+    "user_claim": "users",
+    "user_payment_request": "users",
+    "analytics_round": "analytics",
+    "cf_settle": "settlement",
+    "user_check_payment": "settlement",
+    "mark_payments_processed": "settlement",
+    "advertiser_verify_analytics": "audit",
+}
 
-    monkeypatch.setattr(module, name, spy)
+
+class _PhaseSpy:
+    """Records, by phase, which bases are registered and which bases ``group.power`` raises.
+
+    Each step in ``_PHASE_STEPS`` is rebound in ``adreward.scenario`` (where
+    run_campaign looks it up), and ``PrimeOrderGroup.power`` on its class.
+    ``campaign`` is the opened campaign, for its keys.
+    """
+
+    def __init__(self, group, monkeypatch):
+        self.phase = None
+        self.registered: dict[str, set[frozenset]] = {}
+        self.powers: list[tuple[str | None, int, bool]] = []  # (phase, base, whether base had a table)
+        self.campaign = None
+        for name, phase in _PHASE_STEPS.items():
+            monkeypatch.setattr(scenario, name, self._step(group, phase, getattr(scenario, name)))
+        open_campaign = scenario.open_campaign
+
+        def opened(*args, **kwargs):
+            self.campaign = open_campaign(*args, **kwargs)
+            return self.campaign
+
+        monkeypatch.setattr(scenario, "open_campaign", opened)
+        power = type(group).power
+
+        def spy_power(grp, base, exponent):
+            self.powers.append((self.phase, base, base in grp._tables))
+            return power(grp, base, exponent)
+
+        monkeypatch.setattr(type(group), "power", spy_power)
+
+    def _step(self, group, phase, original):
+        def step(*args, **kwargs):
+            self.phase = phase
+            self.registered.setdefault(phase, set()).add(frozenset(group._tables))
+            return original(*args, **kwargs)
+
+        return step
+
+    def raised_in(self, phase: str, bases) -> dict[int, set[bool]]:
+        """For each of ``bases`` that ``power`` raised in ``phase``: whether it had a table, per call."""
+        seen: dict[int, set[bool]] = {}
+        for at, base, registered in self.powers:
+            if at == phase and base in bases:
+                seen.setdefault(base, set()).add(registered)
+        return seen
 
 
 def test_run_campaign_registers_the_user_phase_keys_and_drops_them(group, monkeypatch):
-    cfg = scenario.ScenarioConfig(name="precomputed", seed=5, users=3, num_ads=4, num_advertisers=2,
-                                  pool_registered=6, pool_expected=3, policy_max=255, click_cap=15, fee=10)
-    during_users, during_analytics = set(), set()
-    _spy_registry(monkeypatch, scenario, "user_claim", group, during_users)
-    _spy_registry(monkeypatch, scenario, "user_payment_request", group, during_users)
-    _spy_registry(monkeypatch, scenario, "analytics_round", group, during_analytics)
-    report = scenario.run_campaign(cfg)
+    spy = _PhaseSpy(group, monkeypatch)
+    report = scenario.run_campaign(scenario.ScenarioConfig(name="precomputed", **_SMALL_CAMPAIGN))
     assert report.passed
-    ((registered, user_keys),) = during_users
-    assert registered == user_keys and len(user_keys) == 2
-    assert [registered for registered, _ in during_analytics] == [frozenset()]
+    campaign = spy.campaign
+    consortium, facilitator, pool_key = campaign.ledger.validator_key.pk, campaign.cf.account.pk, campaign.psc.pool_pk
+    assert spy.registered == {
+        "phase 1": {frozenset({consortium, facilitator})},
+        "pool draw": {frozenset()},
+        "users": {frozenset({consortium, pool_key})},
+        "analytics": {frozenset()},
+        "settlement": {frozenset({group.h, facilitator})},
+        "audit": {frozenset()},
+    }
     assert group._tables == {}
     assert group._g_table is not None and group._g_table.base == group.g
+
+
+def test_no_power_of_a_phase_key_falls_back_to_pow_in_phase1_or_settlement(group, monkeypatch):
+    spy = _PhaseSpy(group, monkeypatch)
+    assert scenario.run_campaign(scenario.ScenarioConfig(name="precomputed", **_SMALL_CAMPAIGN)).passed
+    consortium, facilitator = spy.campaign.ledger.validator_key.pk, spy.campaign.cf.account.pk
+    keys = {group.h, consortium, facilitator}
+    # each phase raises both of its keys, and every time from a table
+    assert spy.raised_in("phase 1", keys) == {consortium: {True}, facilitator: {True}}
+    assert spy.raised_in("settlement", keys) == {group.h: {True}, facilitator: {True}}
+
+
+class _StopAfterPhase1(Exception):
+    pass
+
+
+def _phase1_dh_exponentiations(group, monkeypatch, num_ads: int) -> int:
+    """How often phase 1 raises a facilitator's or an advertiser's Diffie-Hellman key."""
+    spy = _PhaseSpy(group, monkeypatch)
+    dh_keys = set()
+    setup = scenario.phase1_setup
+
+    def setup_then_stop(grp, ledger, cf, advertisers, campaign_id):
+        dh_keys.update([cf.dh_key.pk, *(adv.dh_key.pk for adv in advertisers)])
+        setup(grp, ledger, cf, advertisers, campaign_id)
+        raise _StopAfterPhase1()
+
+    monkeypatch.setattr(scenario, "phase1_setup", setup_then_stop)
+    cfg = scenario.ScenarioConfig(name="dh-count", **{**_SMALL_CAMPAIGN, "num_ads": num_ads})
+    with pytest.raises(_StopAfterPhase1):
+        scenario.run_campaign(cfg)
+    monkeypatch.undo()
+    return sum(base in dh_keys for phase, base, _ in spy.powers if phase == "phase 1")
+
+
+def test_phase1_dh_exponentiations_depend_on_the_advertisers_not_the_catalog(group, monkeypatch):
+    # per advertiser: it seals, the facilitator checks the seals, it re-opens the posted entries
+    assert _phase1_dh_exponentiations(group, monkeypatch, 8) == 3 * 2
+    assert _phase1_dh_exponentiations(group, monkeypatch, 64) == 3 * 2
+
+
+def _reject_settlement(*args, **kwargs):
+    raise Revert("settlement request rejected")
+
+
+@pytest.mark.parametrize("step, error", [("phase1_setup", PolicyMismatch), ("cf_settle", Revert)])
+def test_a_campaign_that_raises_inside_a_scope_leaves_no_table(group, monkeypatch, step, error):
+    if step == "phase1_setup":
+        monkeypatch.setattr(scenario, step, functools.partial(scenario.phase1_setup, tamper_policy_index=0))
+    else:
+        monkeypatch.setattr(scenario, step, _reject_settlement)
+    spy = _PhaseSpy(group, monkeypatch)
+    with pytest.raises(error):
+        scenario.run_campaign(scenario.ScenarioConfig(name="raises", **_SMALL_CAMPAIGN))
+    assert [len(bases) for bases in spy.registered[_PHASE_STEPS[step]]] == [2]  # it raised inside its scope
+    assert group._tables == {}
 
 
 def test_bench_cohort_serves_users_with_the_campaign_key_tables(group, monkeypatch):
