@@ -10,15 +10,17 @@ per-ad click totals that advertisers verify.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .dkg import (
     ThresholdConfig,
-    combine_partials,
     dkg_deal,
     dkg_finalize,
     dkg_verify_share,
     first_rejected_partial,
+    lagrange_at_zero,
+    lagrange_combine,
     open_share,
     partial_decrypt,
 )
@@ -33,7 +35,7 @@ from .elgamal import (
     recover_plaintext,
 )
 from .encoding import DetRng, decode_scalar, encode_scalar
-from .errors import BadSignature, NoWinners, PolicyMismatch, Revert
+from .errors import BadSignature, InsufficientShares, InvalidPartial, NoWinners, PolicyMismatch, Revert
 from .group import PrimeOrderGroup
 from .hybrid import derive_shared_keys, hybrid_wrap, symmetric_open, symmetric_seal
 from .ledger import Call, LedgerState, address_from_pk
@@ -564,36 +566,58 @@ def analytics_round(
     fsc_id: str,
     pool: PoolState,
     recovery_bound: int,
-    rng: DetRng,
 ) -> tuple[int, ...]:
-    """Pool members post partial decryptions; combine, recover, and store totals."""
+    """Pool members post partial decryptions; combine the accepted ones, recover, and store totals.
+
+    Every member raises each sum's c1 twice (for its share and for its proof's
+    commitment), so the partials are computed ad by ad inside one fixed-base
+    scope of that c1; a c1 outside the group gets no table and plain ``pow``.
+    ``post_analytics`` verifies every posted partial on chain, so the totals
+    are combined from the first k accepted rows without verifying them again,
+    with one set of Lagrange coefficients for that quorum.
+
+    Raises ``InsufficientShares``, naming each refused member and its revert
+    reason, when fewer than k rows were accepted, and ``InvalidPartial`` when
+    the sums the chain verified them against are not the claim log's sums.
+    """
     from .contracts import clicks_message
 
     psc = ledger.contracts[psc_id]
     aggregate_cts = aggregate_click_ciphertexts(group, ledger, psc_id, range(psc.catalog_size))
-    for member in pool.members:
-        partials = tuple(
-            partial_decrypt(group, member.pool_index, member.material.share, ct)
-            for ct in aggregate_cts
-        )
-        ledger.call(member.account, Call(fsc_id, "post_analytics", (member.pool_index, aggregate_cts, partials)))
+    rows: list[list] = [[] for _ in pool.members]
+    for ct in aggregate_cts:
+        with group.precomputed(ct.c1) if group.is_element(ct.c1) else nullcontext():
+            for member, row in zip(pool.members, rows):
+                row.append(partial_decrypt(group, member.pool_index, member.material.share, ct))
+    refused = {}
+    for member, row in zip(pool.members, rows):
+        call = Call(fsc_id, "post_analytics", (member.pool_index, aggregate_cts, tuple(row)))
+        receipt = ledger.call(member.account, call)
+        if receipt.status != "ok":
+            refused[member.pool_index] = receipt.revert_reason
 
     fsc = ledger.contracts[fsc_id]
-    quorum = sorted(fsc.posted_partials)[: pool.cfg.k]
-    commitments = pool.members[0].material.share_commitments
-    totals = []
-    # every ad is combined from the same quorum, so each member's commitment gets one table
-    with group.precomputed(*(commitments[idx] for idx in quorum)):
-        for ad_index, ct in enumerate(aggregate_cts):
-            partials = [fsc.posted_partials[idx][ad_index] for idx in quorum]
-            elem = combine_partials(group, pool.cfg, ct, partials, commitments)
-            totals.append(recover_plaintext(group, elem, recovery_bound))
-    totals = tuple(totals)
+    k = pool.cfg.k
+    if len(fsc.posted_partials) < k:
+        reasons = "; ".join(f"member {index}: {reason}" for index, reason in refused.items())
+        raise InsufficientShares(f"{len(fsc.posted_partials)} analytics rows accepted, threshold is {k}; {reasons}")
+    if fsc.posted_aggregate_cts != aggregate_cts:
+        raise InvalidPartial("the posted sums differ from the sums of the claim log")
+    quorum = list(fsc.posted_partials)[:k]
+    coeffs = lagrange_at_zero(quorum, group.q)
+    totals = tuple(
+        recover_plaintext(
+            group,
+            lagrange_combine(group, ct, [fsc.posted_partials[index][ad] for index in quorum], coeffs),
+            recovery_bound,
+        )
+        for ad, ct in enumerate(fsc.posted_aggregate_cts)
+    )
 
     msg = clicks_message(fsc_id, totals)
     cosigs = tuple(
         (m.pool_index, sign(group, m.sign_key.sk, msg))
-        for m in pool.members[: pool.cfg.k]
+        for m in pool.members[:k]
     )
     receipt = ledger.call(pool.members[0].account, Call(fsc_id, "store_aggr_clicks", (totals, cosigs)))
     if receipt.status != "ok":
@@ -617,7 +641,8 @@ def advertiser_verify_analytics(
     ads are not checked: a bad partial on one of them fails only its owner's
     audit. Every ad has one owner, so auditing every advertiser checks each
     posted partial once; ``post_analytics`` has already checked all of them
-    on chain, and ``combine_partials`` checks the quorum's again.
+    on chain, and ``analytics_round`` combines the totals from those checked
+    partials without checking them again.
     """
     psc = ledger.contracts[psc_id]
     fsc = ledger.contracts[fsc_id]

@@ -6,6 +6,13 @@ dealers are dropped; the pool key is the product of the surviving constant
 terms, and each participant's share is the sum of the evaluations it kept.
 Partial decryptions carry DLEQ proofs so anybody can check them against the
 public share commitments before combining with Lagrange coefficients.
+
+Combining has two entry points. ``combine_partials`` takes partials nobody has
+checked yet: it checks the ids and the threshold, verifies every partial and
+then combines. ``lagrange_combine`` is the combination step alone, for partials
+already verified elsewhere (the fund contract's ``post_analytics`` verifies
+each posted partial on chain); its caller computes ``lagrange_at_zero`` once
+per quorum and reuses it for every ciphertext that quorum decrypts.
 """
 
 from __future__ import annotations
@@ -201,6 +208,24 @@ def lagrange_at_zero(ids: list[int], q: int) -> dict[int, int]:
     return coeffs
 
 
+def lagrange_combine(
+    group: PrimeOrderGroup,
+    c: Ciphertext,
+    partials: Sequence[PartialDecryption],
+    coeffs: dict[int, int],
+) -> int:
+    """Recover g^m = c2 / prod(d_i^coeffs[i]) from partials that have already been verified.
+
+    ``coeffs`` is ``lagrange_at_zero`` of exactly the partials' participant
+    ids. Nothing is checked here: partials that nobody has verified go through
+    ``combine_partials``.
+    """
+    combined = 1
+    for p in partials:
+        combined = combined * group.power(p.d_i, coeffs[p.participant_id]) % group.p
+    return group.div(c.c2, combined)
+
+
 def combine_partials(
     group: PrimeOrderGroup,
     cfg: ThresholdConfig,
@@ -208,9 +233,11 @@ def combine_partials(
     partials: list[PartialDecryption],
     share_commitments: dict[int, int],
 ) -> int:
-    """Recover g^m from at least k verified partial decryptions.
+    """Recover g^m from at least k partial decryptions that nobody has verified yet.
 
-    A caller that combines many ciphertexts from the same members registers
+    Checks that the ids are distinct and at least k, verifies every partial
+    against its member's share commitment, then runs ``lagrange_combine``. A
+    caller that combines many ciphertexts from the same members registers
     their share commitments with ``group.precomputed`` around the calls.
     """
     ids = [p.participant_id for p in partials]
@@ -222,8 +249,4 @@ def combine_partials(
         commitment = share_commitments.get(p.participant_id)
         if commitment is None or not verify_partial(group, c, p, commitment):
             raise InvalidPartial(f"partial from participant {p.participant_id} rejected")
-    coeffs = lagrange_at_zero(ids, group.q)
-    combined = 1
-    for p in partials:
-        combined = combined * group.power(p.d_i, coeffs[p.participant_id]) % group.p
-    return group.div(c.c2, combined)
+    return lagrange_combine(group, c, partials, lagrange_at_zero(ids, group.q))

@@ -21,7 +21,8 @@ see ``FixedBaseTable``) for bases that are raised to many exponents:
   h, under which every payment note is committed and opened, and the
   facilitator's key, which signs every ``payment_processed``. A pool member's
   share commitment is registered while a row of its partial decryptions is
-  checked.
+  checked, and each analytics sum's c1 while every pool member decrypts that
+  sum (``actors.analytics_round``), since each member raises it twice.
 
 A table holds 4 x 256 integers (68 KiB) and costs about as much to build as
 four or five full ``pow`` calls. A power takes about 39 modular

@@ -374,7 +374,7 @@ def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
 
     mark = time.perf_counter()
     click_bound = cfg.users * cfg.click_cap
-    totals = analytics_round(group, ledger, psc_id, fsc_id, campaign.pool, click_bound, campaign.rng.child("analytics"))
+    totals = analytics_round(group, ledger, psc_id, fsc_id, campaign.pool, click_bound)
     timings["analytics_s"] = time.perf_counter() - mark
 
     mark = time.perf_counter()

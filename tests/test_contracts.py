@@ -194,7 +194,7 @@ def test_rejected_claim_retry_leaves_analytics_at_the_oracle(group):
     ))
     assert receipt.status == "reverted"
     totals = analytics_round(group, campaign.ledger, campaign.psc_id, campaign.fsc_id, campaign.pool,
-                             len(counts_list) * campaign.plan.click_cap, campaign.rng.child("analytics"))
+                             len(counts_list) * campaign.plan.click_cap)
     oracle = [sum(column) for column in zip(*counts_list)]
     assert list(totals) == oracle
     assert list(campaign.fsc.aggr_clicks) == oracle
@@ -225,7 +225,7 @@ def test_malformed_claim_ciphertext_reverts_and_analytics_stay_at_the_oracle(gro
     assert receipt.revert_reason == f"Revert: {vector}[{index}] is not a ciphertext with 0 < c1, c2 < p"
     assert encode_element(attacker.ephemeral.pk) not in campaign.psc.aggregates
     totals = analytics_round(group, campaign.ledger, campaign.psc_id, campaign.fsc_id, campaign.pool,
-                             len(honest) * campaign.plan.click_cap, campaign.rng.child("analytics"))
+                             len(honest) * campaign.plan.click_cap)
     assert list(totals) == [sum(column) for column in zip(*honest)]
 
 
@@ -378,8 +378,7 @@ def run_full_campaign(group, seed="full", underpay_delta=0, overdraw=0, counts_l
     for session in sessions:
         user_payment_request(group, campaign.ledger, campaign.psc_id, session, campaign.plan.recovery_bound)
     click_bound = len(counts_list) * campaign.plan.click_cap * 4
-    analytics_round(group, campaign.ledger, campaign.psc_id, campaign.fsc_id, campaign.pool,
-                    click_bound, campaign.rng.child("analytics"))
+    analytics_round(group, campaign.ledger, campaign.psc_id, campaign.fsc_id, campaign.pool, click_bound)
     underpay = None
     if underpay_delta:
         underpay = {sessions[0].reward_address: underpay_delta}
@@ -444,8 +443,7 @@ def test_clicks_exhaust_budget_zero_refund(group):
     campaign = Campaign(group, plan, seed="exhaust", with_pool=True)
     session = campaign.claim([4])
     user_payment_request(group, campaign.ledger, campaign.psc_id, session, plan.recovery_bound)
-    analytics_round(group, campaign.ledger, campaign.psc_id, campaign.fsc_id, campaign.pool, 4,
-                    campaign.rng.child("analytics"))
+    analytics_round(group, campaign.ledger, campaign.psc_id, campaign.fsc_id, campaign.pool, 4)
     outcome = cf_settle(group, campaign.ledger, campaign.fsc_id, campaign.cf, campaign.rng.child("settle"))
     mark_payments_processed(campaign.ledger, campaign.fsc_id, campaign.cf, outcome)
     assert campaign.fsc.refunds_paid[campaign.advertisers[0].adv_id] == 0
@@ -456,8 +454,7 @@ def test_pay_processing_fees_zero_fee_allowed(group):
     campaign = Campaign(group, plan, seed="zerofee", with_pool=True)
     session = campaign.claim([1])
     user_payment_request(group, campaign.ledger, campaign.psc_id, session, plan.recovery_bound)
-    analytics_round(group, campaign.ledger, campaign.psc_id, campaign.fsc_id, campaign.pool, 4,
-                    campaign.rng.child("analytics"))
+    analytics_round(group, campaign.ledger, campaign.psc_id, campaign.fsc_id, campaign.pool, 4)
     outcome = cf_settle(group, campaign.ledger, campaign.fsc_id, campaign.cf, campaign.rng.child("settle"))
     mark_payments_processed(campaign.ledger, campaign.fsc_id, campaign.cf, outcome)
     receipt = campaign.ledger.call(campaign.cf.account, Call(campaign.fsc_id, "pay_processing_fees", ()))

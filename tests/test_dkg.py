@@ -1,7 +1,10 @@
 import dataclasses
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adreward.dkg import (
     PartialDecryption,
@@ -11,6 +14,7 @@ from adreward.dkg import (
     dkg_finalize,
     dkg_verify_share,
     lagrange_at_zero,
+    lagrange_combine,
     open_share,
     partial_decrypt,
     verify_partial,
@@ -150,6 +154,33 @@ def test_combination_thresholds_and_subsets(group):
         for subset in itertools.combinations(range(1, n + 1), k - 1):
             with pytest.raises(InsufficientShares):
                 combine_partials(group, cfg, ct, [partials[j] for j in subset], commitments)
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(group, n, k):
+    return run_dkg(group, n=n, k=k, seed=f"lagrange-{n}-{k}")
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_lagrange_combine_of_any_quorum_matches_combine_partials(group, data):
+    """The combination step alone, with a quorum's coefficients, gives what the checked entry point gives."""
+    n = data.draw(st.integers(min_value=1, max_value=5), label="n")
+    k = data.draw(st.integers(min_value=1, max_value=n), label="k")
+    message = data.draw(st.integers(min_value=0, max_value=1000), label="message")
+    r = data.draw(st.integers(min_value=1, max_value=group.q - 1), label="r")
+    cfg, _, _, material = _pool(group, n, k)
+    ct = encrypt(group, material[1].pk_T, message, r)
+    commitments = material[1].share_commitments
+    partials = {j: partial_decrypt(group, j, material[j].share, ct) for j in range(1, n + 1)}
+    with group.precomputed(ct.c1):
+        assert {j: partial_decrypt(group, j, material[j].share, ct) for j in range(1, n + 1)} == partials
+    for subset in itertools.combinations(range(1, n + 1), k):
+        quorum = data.draw(st.permutations(subset), label="quorum order")
+        chosen = [partials[j] for j in quorum]
+        elem = combine_partials(group, cfg, ct, chosen, commitments)
+        assert lagrange_combine(group, ct, chosen, lagrange_at_zero(list(quorum), group.q)) == elem
+        assert recover_plaintext(group, elem, 1000) == message
 
 
 def test_combine_rejects_invalid_partial(group):

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adreward import bench, scenario
+from adreward import actors, bench, dkg, scenario
+from adreward.contracts import FundContract
 from adreward.elgamal import keygen
 from adreward.encoding import DetRng, encode_element, encode_scalar, hash_to_int
 from adreward.errors import PolicyMismatch, Revert
-from adreward.group import P, Q
+from adreward.group import FixedBaseTable, P, Q
 from adreward.proofs import SIG_DOMAIN, Signature, sign, verify_sig
 
 
@@ -153,17 +154,21 @@ _PHASE_STEPS = {
 
 
 class _PhaseSpy:
-    """Records, by phase, which bases are registered and which bases ``group.power`` raises.
+    """Records, by phase, which bases are registered, which bases ``group.power`` raises and which get a table.
 
     Each step in ``_PHASE_STEPS`` is rebound in ``adreward.scenario`` (where
-    run_campaign looks it up), and ``PrimeOrderGroup.power`` on its class.
-    ``campaign`` is the opened campaign, for its keys.
+    run_campaign looks it up), ``PrimeOrderGroup.power`` and
+    ``FixedBaseTable.__init__`` on their classes, and ``dkg.verify_partial``
+    in its module, where every caller looks it up. ``campaign`` is the opened
+    campaign, for its keys.
     """
 
     def __init__(self, group, monkeypatch):
         self.phase = None
         self.registered: dict[str, set[frozenset]] = {}
         self.powers: list[tuple[str | None, int, bool]] = []  # (phase, base, whether base had a table)
+        self.builds: list[tuple[str | None, int]] = []  # (phase, base) of every table built
+        self.partial_checks: list[tuple[str | None, bool]] = []  # (phase, whether inside post_analytics)
         self.campaign = None
         for name, phase in _PHASE_STEPS.items():
             monkeypatch.setattr(scenario, name, self._step(group, phase, getattr(scenario, name)))
@@ -181,6 +186,31 @@ class _PhaseSpy:
             return power(grp, base, exponent)
 
         monkeypatch.setattr(type(group), "power", spy_power)
+        build = FixedBaseTable.__init__
+
+        def spy_build(table, grp, base):
+            self.builds.append((self.phase, base))
+            build(table, grp, base)
+
+        monkeypatch.setattr(FixedBaseTable, "__init__", spy_build)
+        self._posting = False
+        post = FundContract.post_analytics
+
+        def spy_post(contract, *args):
+            self._posting = True
+            try:
+                return post(contract, *args)
+            finally:
+                self._posting = False
+
+        monkeypatch.setattr(FundContract, "post_analytics", spy_post)
+        verify = dkg.verify_partial
+
+        def spy_verify(*args):
+            self.partial_checks.append((self.phase, self._posting))
+            return verify(*args)
+
+        monkeypatch.setattr(dkg, "verify_partial", spy_verify)
 
     def _step(self, group, phase, original):
         def step(*args, **kwargs):
@@ -227,6 +257,19 @@ def test_no_power_of_a_phase_key_falls_back_to_pow_in_phase1_or_settlement(group
     assert spy.raised_in("settlement", keys) == {group.h: {True}, facilitator: {True}}
 
 
+def test_analytics_checks_each_posted_partial_once_and_raises_each_sums_c1_from_one_table(group, monkeypatch):
+    spy = _PhaseSpy(group, monkeypatch)
+    assert scenario.run_campaign(scenario.ScenarioConfig(name="precomputed", **_SMALL_CAMPAIGN)).passed
+    fsc = spy.campaign.fsc
+    c1s = [ct.c1 for ct in fsc.posted_aggregate_cts]
+    assert len(set(c1s)) == _SMALL_CAMPAIGN["num_ads"]
+    # every check is the chain's, one per posted member and ad; the combination checks nothing again
+    checks = [posting for phase, posting in spy.partial_checks if phase == "analytics"]
+    assert checks == [True] * (len(fsc.posted_partials) * _SMALL_CAMPAIGN["num_ads"])
+    assert spy.raised_in("analytics", set(c1s)) == {c1: {True} for c1 in c1s}
+    assert sorted(base for phase, base in spy.builds if phase == "analytics" and base in c1s) == sorted(c1s)
+
+
 class _StopAfterPhase1(Exception):
     pass
 
@@ -260,16 +303,35 @@ def _reject_settlement(*args, **kwargs):
     raise Revert("settlement request rejected")
 
 
-@pytest.mark.parametrize("step, error", [("phase1_setup", PolicyMismatch), ("cf_settle", Revert)])
+class _PartialFault(Exception):
+    """Raised by a partial decryption; carries the bases registered when it was raised."""
+
+
+def _failing_partial_decrypt(group):
+    def partial_decrypt(*args):
+        raise _PartialFault(frozenset(group._tables))
+
+    return partial_decrypt
+
+
+@pytest.mark.parametrize("step, error", [
+    ("phase1_setup", PolicyMismatch), ("analytics_round", _PartialFault), ("cf_settle", Revert),
+])
 def test_a_campaign_that_raises_inside_a_scope_leaves_no_table(group, monkeypatch, step, error):
     if step == "phase1_setup":
         monkeypatch.setattr(scenario, step, functools.partial(scenario.phase1_setup, tamper_policy_index=0))
+    elif step == "analytics_round":
+        monkeypatch.setattr(actors, "partial_decrypt", _failing_partial_decrypt(group))
     else:
         monkeypatch.setattr(scenario, step, _reject_settlement)
     spy = _PhaseSpy(group, monkeypatch)
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         scenario.run_campaign(scenario.ScenarioConfig(name="raises", **_SMALL_CAMPAIGN))
-    assert [len(bases) for bases in spy.registered[_PHASE_STEPS[step]]] == [2]  # it raised inside its scope
+    if step == "analytics_round":
+        (registered,) = raised.value.args
+        assert len(registered) == 1  # it raised inside the first ad's c1 scope, which opens inside the step
+    else:
+        assert [len(bases) for bases in spy.registered[_PHASE_STEPS[step]]] == [2]  # it raised inside its scope
     assert group._tables == {}
 
 
