@@ -273,7 +273,7 @@ def phase1_setup(
     )
     from .contracts import keys_message
 
-    key_sig = sign(group, cf.account.sk, keys_message(psc_id, wrapped))
+    key_sig = sign(group, cf.account, keys_message(psc_id, wrapped))
     ledger.call(cf.account, Call(psc_id, "store_encrypted_keys", (wrapped, key_sig)))
 
     fee_shares = plan.fee_shares()
@@ -373,7 +373,7 @@ def pool_selection(
     complaints: set[int] = set()
     for member in winners:
         for round_ in rounds:
-            share = open_share(group, round_, member.pool_index, member.enc_key.sk)
+            share = open_share(group, round_, member.pool_index, member.enc_key)
             if not dkg_verify_share(group, round_, member.pool_index, share):
                 complaints.add(round_.participant_id)
             received[member.pool_index][round_.participant_id] = share
@@ -388,7 +388,7 @@ def pool_selection(
     from .contracts import pool_key_message
 
     msg = pool_key_message(psc_id, pk_t, k, share_commitments, sign_pks)
-    cosigs = tuple((m.reg_id, sign(group, m.sign_key.sk, msg)) for m in winners)
+    cosigs = tuple((m.reg_id, sign(group, m.sign_key, msg)) for m in winners)
     ledger.call(cf.account, Call(
         psc_id, "publish_pool_key",
         (pk_t, k, share_commitments, sign_pks, cosigs),
@@ -490,7 +490,7 @@ def cf_settle(
     fsc = ledger.contracts[fsc_id]
     queue = list(fsc.payment_queue.items())
     tau = sum(amount for _, amount in queue) + overdraw
-    sig = sign(group, cf.account.sk, settlement_message(fsc_id, fsc.settlement_count, tau))
+    sig = sign(group, cf.account, settlement_message(fsc_id, fsc.settlement_count, tau))
     receipt = ledger.call(cf.account, Call(fsc_id, "settlement_request", (tau, sig)))
     if receipt.status != "ok":
         raise Revert(receipt.revert_reason or "settlement request rejected")
@@ -616,7 +616,7 @@ def analytics_round(
 
     msg = clicks_message(fsc_id, totals)
     cosigs = tuple(
-        (m.pool_index, sign(group, m.sign_key.sk, msg))
+        (m.pool_index, sign(group, m.sign_key, msg))
         for m in pool.members[:k]
     )
     receipt = ledger.call(pool.members[0].account, Call(fsc_id, "store_aggr_clicks", (totals, cosigs)))

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .elgamal import Ciphertext
+from .elgamal import Ciphertext, KeyPair
 from .encoding import DetRng, decode_scalar, encode_scalar
 from .errors import InsufficientShares, InvalidConfig, InvalidPartial, NoQualifiedDealers
 from .group import PrimeOrderGroup
@@ -96,8 +96,8 @@ def _poly_eval(coefficients: list[int], x: int, q: int) -> int:
     return acc
 
 
-def open_share(group: PrimeOrderGroup, round_: DealerRound, my_id: int, my_sk: int) -> int:
-    return decode_scalar(hybrid_unwrap(group, my_sk, round_.encrypted_shares[my_id]))
+def open_share(group: PrimeOrderGroup, round_: DealerRound, my_id: int, my_key: KeyPair) -> int:
+    return decode_scalar(hybrid_unwrap(group, my_key, round_.encrypted_shares[my_id]))
 
 
 def commitment_eval(group: PrimeOrderGroup, commitments, x: int) -> int:

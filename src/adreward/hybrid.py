@@ -13,13 +13,14 @@ import hmac
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .elgamal import Ciphertext
+from .elgamal import Ciphertext, KeyPair
 from .encoding import DetRng, dhash, encode_element
 from .errors import AuthFailure, InvalidPublicKey
 from .group import PrimeOrderGroup
 
 _NONCE_BYTES = 16
 _TAG_BYTES = 32
+_BLOCK_BYTES = hashlib.sha256().digest_size
 
 
 @dataclass(frozen=True)
@@ -32,17 +33,11 @@ class WrappedKey:
 
 
 def _keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    out = bytearray(len(data))
-    offset = 0
-    counter = 0
-    while offset < len(data):
-        block = hashlib.sha256(key + nonce + counter.to_bytes(4, "big")).digest()
-        chunk = data[offset:offset + len(block)]
-        for i, byte in enumerate(chunk):
-            out[offset + i] = byte ^ block[i]
-        offset += len(block)
-        counter += 1
-    return bytes(out)
+    """XOR with SHA-256(key || nonce || counter) blocks, counter from 0, as one big-integer XOR."""
+    blocks = -(-len(data) // _BLOCK_BYTES)
+    stream = b"".join(hashlib.sha256(key + nonce + i.to_bytes(4, "big")).digest() for i in range(blocks))
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream[:len(data)], "big")
+    return mixed.to_bytes(len(data), "big")
 
 
 def _seal(key: bytes, nonce: bytes, payload: bytes) -> bytes:
@@ -111,9 +106,8 @@ def hybrid_wrap(
     return WrappedKey(kem_ciphertext=kem, sealed_payload=_seal(key, rng.bytes(_NONCE_BYTES), payload))
 
 
-def hybrid_unwrap(group: PrimeOrderGroup, recipient_sk: int, wrapped: WrappedKey) -> bytes:
+def hybrid_unwrap(group: PrimeOrderGroup, recipient: KeyPair, wrapped: WrappedKey) -> bytes:
     kem = wrapped.kem_ciphertext
-    key_elem = group.div(kem.c2, group.power(kem.c1, recipient_sk))
-    recipient_pk = group.pow_g(recipient_sk)
-    key = dhash("adreward/kem-key", encode_element(key_elem), encode_element(recipient_pk))
+    key_elem = group.div(kem.c2, group.power(kem.c1, recipient.sk))
+    key = dhash("adreward/kem-key", encode_element(key_elem), encode_element(recipient.pk))
     return _open(key, wrapped.sealed_payload)

@@ -14,7 +14,7 @@ import os
 import threading
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import codec
 from .elgamal import KeyPair, keygen
@@ -44,17 +44,32 @@ class Call:
 
 @dataclass(frozen=True)
 class Transaction:
+    """A signed call, which keeps the bytes its signature covers.
+
+    ``signing_bytes()`` is memoized per object. Soundness rule: only
+    ``make_tx`` seeds the memo, with the body it has just encoded from these
+    same fields and signed. Every other transaction (a replayed one, a
+    ``dataclasses.replace`` copy, one built by hand) starts without it and
+    encodes its own frozen fields once, on first use, so the memo never vouches
+    for fields it was not computed from.
+    """
+
     sequence_no: int
     sender: Address
     call: Call
     private_envelope: WrappedKey | None
     signature: Signature
+    _signed_body: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def signing_bytes(self) -> bytes:
-        return transaction_signing_bytes(self.sequence_no, self.sender, self.call, self.private_envelope)
+        if self._signed_body is None:
+            body = transaction_signing_bytes(self.sequence_no, self.sender, self.call, self.private_envelope)
+            object.__setattr__(self, "_signed_body", body)
+        return self._signed_body
 
 
 def transaction_signing_bytes(sequence_no: int, sender: Address, call: Call, envelope: WrappedKey | None) -> bytes:
+    """The bytes a transaction's signature covers (perfbench's tracer counts them under this name)."""
     return codec.encode_value((
         sequence_no,
         sender,
@@ -96,14 +111,14 @@ class ExecutionContext:
     def open_private_inputs(self) -> tuple:
         if self.tx is None or self.tx.private_envelope is None:
             raise Revert("transaction carries no private envelope")
-        raw = hybrid_unwrap(self.ledger.group, self.ledger.validator_key.sk, self.tx.private_envelope)
+        raw = hybrid_unwrap(self.ledger.group, self.ledger.validator_key, self.tx.private_envelope)
         return codec.decode_args(raw)
 
     def validator_unwrap(self, wrapped: WrappedKey) -> bytes:
-        return hybrid_unwrap(self.ledger.group, self.ledger.validator_key.sk, wrapped)
+        return hybrid_unwrap(self.ledger.group, self.ledger.validator_key, wrapped)
 
     def validator_sign(self, msg: bytes) -> Signature:
-        return sign(self.ledger.group, self.ledger.validator_key.sk, msg)
+        return sign(self.ledger.group, self.ledger.validator_key, msg)
 
 
 class LedgerState:
@@ -163,13 +178,15 @@ class LedgerState:
         seq = self.next_sequence() if sequence_no is None else sequence_no
         sender = address_from_pk(sender_key.pk)
         body = transaction_signing_bytes(seq, sender, call, envelope)
-        return Transaction(
+        tx = Transaction(
             sequence_no=seq,
             sender=sender,
             call=call,
             private_envelope=envelope,
-            signature=sign(self.group, sender_key.sk, body),
+            signature=sign(self.group, sender_key, body),
         )
+        object.__setattr__(tx, "_signed_body", body)  # the one place the memo is seeded
+        return tx
 
     # -- execution -------------------------------------------------------------
 
@@ -293,7 +310,8 @@ class LedgerState:
         for cid, snap in contract_snaps.items():
             self.contracts[cid].restore(snap)
 
-    def state_hash(self) -> str:
+    def state_parts(self) -> list[bytes]:
+        """The byte strings the state hash commits to, in order; ``state_digest`` hashes them."""
         parts = [
             self.chain_id.encode(),
             encode_element(self.validator_key.pk),
@@ -303,7 +321,10 @@ class LedgerState:
         for cid in sorted(self.contracts):
             parts.append(cid.encode())
             parts.append(self.contracts[cid].state_bytes())
-        return dhash("adreward/state", *parts).hex()
+        return parts
+
+    def state_hash(self) -> str:
+        return state_digest(self.state_parts())
 
     def export_tx_lines(self) -> Iterator[str]:
         """One JSON line per logged transaction, built lazily in log order."""
@@ -340,6 +361,11 @@ class LedgerState:
             )
             ledger.submit(tx)
         return ledger
+
+
+def state_digest(parts: list[bytes]) -> str:
+    """The state hash of ``LedgerState.state_parts()``."""
+    return dhash("adreward/state", *parts).hex()
 
 
 def _seed_repr(seed: bytes | str) -> str:

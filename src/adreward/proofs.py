@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .elgamal import Ciphertext
+from .elgamal import Ciphertext, KeyPair
 from .encoding import dhash, encode_element, encode_scalar, hash_to_int
 from .group import PrimeOrderGroup
 
@@ -32,8 +32,8 @@ class Signature:
         return encode_scalar(self.challenge) + encode_scalar(self.response) + encode_element(self.signer_pk)
 
 
-def sign(group: PrimeOrderGroup, sk: int, msg: bytes) -> Signature:
-    pk = group.pow_g(sk)
+def sign(group: PrimeOrderGroup, key: KeyPair, msg: bytes) -> Signature:
+    sk, pk = key.sk, key.pk
     nonce = hash_to_int("adreward/sig-nonce", encode_scalar(sk), msg) % group.q
     big_r = group.pow_g(nonce)
     e = group.hash_to_scalar(SIG_DOMAIN, encode_element(pk), encode_element(big_r), msg)
@@ -46,8 +46,9 @@ def verify_sig(group: PrimeOrderGroup, pk: int, msg: bytes, sig: Signature) -> b
         return False
     if not (0 <= sig.challenge < group.q and 0 <= sig.response < group.q):
         return False
-    # R = g^s / pk^e must rebuild the challenged commitment
-    big_r = group.pow_g(sig.response) * group.inv(group.power(pk, sig.challenge)) % group.p
+    # R = g^s / pk^e must rebuild the challenged commitment; pk has order q (or is 1),
+    # so pk^(q - e) is pk^-e without an inverse, and e = 0 gives pk^q = 1
+    big_r = group.pow_g(sig.response) * group.power(pk, group.q - sig.challenge) % group.p
     e = group.hash_to_scalar(SIG_DOMAIN, encode_element(pk), encode_element(big_r), msg)
     return e == sig.challenge
 

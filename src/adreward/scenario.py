@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import codec
@@ -33,10 +34,10 @@ from .actors import (
     user_claim,
     user_payment_request,
 )
-from .encoding import DetRng, encode_scalar
+from .encoding import SCALAR_BYTES, DetRng, encode_scalar
 from .errors import ScenarioError
 from .group import default_group
-from .ledger import Call, LedgerState, contract_address
+from .ledger import Call, LedgerState, contract_address, state_digest
 
 SCHEMA_VERSION = 1
 
@@ -341,10 +342,12 @@ def open_campaign(cfg: ScenarioConfig, seed: str, chain_index: int = 0) -> Campa
     )
     timings["pool_selection_s"] = time.perf_counter() - mark
 
+    mark = time.perf_counter()
     sessions = [
         UserSession(group, user_id, counts, rng.child(f"session-{user_id}"))
         for user_id, counts in enumerate(interactions)
     ]
+    timings["sessions_s"] = time.perf_counter() - mark
     return Campaign(rng, plan, cf, advertisers, balances, ledger, psc_id, fsc_id, pool, sessions, timings)
 
 
@@ -403,6 +406,7 @@ def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
     timings["settlement_s"] = time.perf_counter() - mark
 
     # -- oracle comparisons ---------------------------------------------------
+    mark = time.perf_counter()
     oracle_payouts = {
         s.user_id: sum(p * a for p, a in zip(plan.policies, s.counts))
         for s in sessions
@@ -470,31 +474,58 @@ def run_campaign(cfg: ScenarioConfig, chain_index: int = 0) -> CampaignReport:
         all(advertiser_verify_analytics(group, ledger, psc_id, fsc_id, adv) for adv in advertisers),
         "advertiser-side homomorphic sum and proof checks",
     ))
-    policy_leak = _policy_plaintext_leaked(ledger, psc_id, fsc_id, plan.policies)
+    state = ledger.state_parts()
+    policy_leak = _policy_plaintext_leaked(ledger, state, plan.policies)
     checks.append(CheckResult("policy-privacy", not policy_leak, "no canonical policy encoding in public state"))
 
-    report.state_hash = ledger.state_hash()
+    report.state_hash = state_digest(state)
+    timings["checks_s"] = time.perf_counter() - mark
     timings["total_s"] = time.perf_counter() - started
     return report
 
 
-def _policy_plaintext_leaked(ledger: LedgerState, psc_id: str, fsc_id: str, policies: tuple[int, ...]) -> bool:
-    """Whether a policy's encoding occurs in either contract's state or in a logged transaction.
+def _policy_plaintext_leaked(ledger: LedgerState, state_parts: list[bytes], policies: tuple[int, ...]) -> bool:
+    """Whether a policy's encoding occurs in the ledger state or in a logged transaction.
 
-    Each transaction is searched in the codec bytes that its exported log line
-    carries as hex: the call arguments, the private envelope and the signature.
+    ``state_parts`` is ``ledger.state_parts()``: every contract's storage plus
+    the balances and the rest of what the state hash commits to. Each
+    transaction is searched in the bytes its signature covers (sequence number,
+    sender, call, arguments and private envelope), which ``signing_bytes()``
+    keeps, and in its encoded signature. That covers every codec byte its
+    exported log line carries as hex.
     """
-    needles = {encode_scalar(p) for p in policies}
-
     def public_chunks():
-        yield ledger.contracts[psc_id].state_bytes()
-        yield ledger.contracts[fsc_id].state_bytes()
+        yield from state_parts
         for tx in ledger.tx_log:
-            yield codec.encode_args(tx.call.args)
-            yield codec.encode_value(tx.private_envelope)
+            yield tx.signing_bytes()
             yield codec.encode_value(tx.signature)
 
-    return any(needle in chunk for chunk in public_chunks() for needle in needles)
+    return scalar_encoding_found(public_chunks(), policies)
+
+
+def scalar_encoding_found(chunks: Iterable[bytes], values: Iterable[int]) -> bool:
+    """Whether some chunk contains ``encode_scalar(v)`` for some v in ``values``, in one pass per chunk.
+
+    Every needle is 32 bytes little-endian, so each ends in at least as many
+    zero bytes as the longest value leaves free. The search finds that common
+    tail with ``bytes.find`` and tests the 32-byte window ending there against
+    the needle set. Every needle occurrence ends in the tail, so the result is
+    that of ``any(n in chunk ...)`` for any values; it walks a zero run of the
+    tail's length or more byte by byte, which codec bytes seldom hold.
+    """
+    needles = {encode_scalar(v) for v in values}
+    if not needles:
+        return False
+    tail = bytes(min(SCALAR_BYTES - len(n.rstrip(b"\0")) for n in needles))
+    first = SCALAR_BYTES - len(tail)  # no full window ends at a tail that starts before this
+    for chunk in chunks:
+        at = chunk.find(tail, first)
+        while at >= 0:
+            end = at + len(tail)
+            if chunk[end - SCALAR_BYTES:end] in needles:
+                return True
+            at = chunk.find(tail, at + 1)
+    return False
 
 
 @dataclass

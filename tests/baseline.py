@@ -20,7 +20,7 @@ class CampaignManager:
         aggregate = Ciphertext(c1=1, c2=1)
         for policy, ct in zip(self.policies, enc_vec):
             aggregate = add_ciphertexts(self.group, aggregate, scalar_mul_ciphertext(self.group, ct, policy))
-        return aggregate, sign(self.group, self.key.sk, aggregate_message(user_pk, aggregate))
+        return aggregate, sign(self.group, self.key, aggregate_message(user_pk, aggregate))
 
     def pay(self, user_pk: int, dec_result: int, aggregate: Ciphertext, reward_sig, proof) -> int:
         if not verify_sig(self.group, self.key.pk, aggregate_message(user_pk, aggregate), reward_sig):

@@ -215,7 +215,7 @@ def test_criterion_5_proof_mutation_suite():
     for i in range(14):
         kp = keygen(group, rng.child(f"sig-{i}"))
         msg = rng.bytes(48)
-        sig = sign(group, kp.sk, msg)
+        sig = sign(group, kp, msg)
         assert verify_sig(group, kp.pk, msg, sig)
         for field in ("challenge", "response"):
             for v in scalar_variants(getattr(sig, field)):

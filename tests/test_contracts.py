@@ -135,12 +135,12 @@ def test_store_encrypted_keys_signature_and_length(campaign, group):
     psc = campaign.psc
     wrapped = psc.enc_keys
     outsider = keygen(group, DetRng("forger"))
-    forged = sign(group, outsider.sk, keys_message(campaign.psc_id, wrapped))
+    forged = sign(group, outsider, keys_message(campaign.psc_id, wrapped))
     receipt = campaign.ledger.call(campaign.cf.account, Call(
         campaign.psc_id, "store_encrypted_keys", (wrapped, forged),
     ))
     assert "BadSignature" in receipt.revert_reason
-    good_sig = sign(group, campaign.cf.account.sk, keys_message(campaign.psc_id, wrapped[:2]))
+    good_sig = sign(group, campaign.cf.account, keys_message(campaign.psc_id, wrapped[:2]))
     receipt = campaign.ledger.call(campaign.cf.account, Call(
         campaign.psc_id, "store_encrypted_keys", (wrapped[:2], good_sig),
     ))
@@ -347,7 +347,7 @@ def test_store_aggr_clicks_accumulates_with_pool_signatures(group):
     values = (7, 5, 1)
     msg = clicks_message(campaign.fsc_id, values)
     cosigs = tuple(
-        (m.pool_index, sign(group, m.sign_key.sk, msg))
+        (m.pool_index, sign(group, m.sign_key, msg))
         for m in pool.members[: pool.cfg.k]
     )
     sender = pool.members[0].account
@@ -356,13 +356,13 @@ def test_store_aggr_clicks_accumulates_with_pool_signatures(group):
     # accumulation: second posting adds element-wise (brute-force sum oracle)
     zero = (0, 0, 0)
     zero_sigs = tuple(
-        (m.pool_index, sign(group, m.sign_key.sk, clicks_message(campaign.fsc_id, zero)))
+        (m.pool_index, sign(group, m.sign_key, clicks_message(campaign.fsc_id, zero)))
         for m in pool.members[: pool.cfg.k]
     )
     campaign.ledger.call(sender, Call(campaign.fsc_id, "store_aggr_clicks", (zero, zero_sigs)))
     assert campaign.fsc.aggr_clicks == (7, 5, 1)
 
-    forged = tuple((idx, sign(group, keygen(group, DetRng("f")).sk, msg)) for idx, _ in cosigs)
+    forged = tuple((idx, sign(group, keygen(group, DetRng("f")), msg)) for idx, _ in cosigs)
     receipt = campaign.ledger.call(sender, Call(campaign.fsc_id, "store_aggr_clicks", (values, forged)))
     assert "BadSignature" in receipt.revert_reason
     receipt = campaign.ledger.call(sender, Call(campaign.fsc_id, "store_aggr_clicks", (values, cosigs[:-1])))
@@ -393,11 +393,11 @@ def test_settlement_request_guards(group):
     campaign, sessions, _ = run_full_campaign(group, seed="guards")
     fsc = campaign.fsc
     outsider = keygen(group, DetRng("outsider3"))
-    bad_sig = sign(group, outsider.sk, settlement_message(campaign.fsc_id, fsc.settlement_count, 5))
+    bad_sig = sign(group, outsider, settlement_message(campaign.fsc_id, fsc.settlement_count, 5))
     receipt = campaign.ledger.call(campaign.cf.account, Call(campaign.fsc_id, "settlement_request", (5, bad_sig)))
     assert "BadSignature" in receipt.revert_reason
     huge = campaign.deposits + 1
-    good_sig = sign(group, campaign.cf.account.sk, settlement_message(campaign.fsc_id, fsc.settlement_count, huge))
+    good_sig = sign(group, campaign.cf.account, settlement_message(campaign.fsc_id, fsc.settlement_count, huge))
     receipt = campaign.ledger.call(campaign.cf.account, Call(campaign.fsc_id, "settlement_request", (huge, good_sig)))
     assert "InsufficientFunds" in receipt.revert_reason
 
@@ -547,7 +547,7 @@ def test_policy_plaintexts_never_in_public_storage(group):
     campaign = Campaign(group, plan, seed="privacy", with_pool=True)
     session = campaign.claim([1, 2, 3])
     user_payment_request(group, campaign.ledger, campaign.psc_id, session, plan.recovery_bound)
-    assert not _policy_plaintext_leaked(campaign.ledger, campaign.psc_id, campaign.fsc_id, policies)
+    assert not _policy_plaintext_leaked(campaign.ledger, campaign.ledger.state_parts(), policies)
 
 
 # -- storage declaration and atomicity ----------------------------------------------------------

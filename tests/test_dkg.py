@@ -31,7 +31,7 @@ def run_dkg(group, n, k, disqualified=frozenset(), seed="dkg"):
     recipient_pks = {j: kp.pk for j, kp in enc_keys.items()}
     rounds = [dkg_deal(group, cfg, i, recipient_pks, rng.child(f"deal-{i}")) for i in range(1, n + 1)]
     received = {
-        j: {r.participant_id: open_share(group, r, j, enc_keys[j].sk) for r in rounds}
+        j: {r.participant_id: open_share(group, r, j, enc_keys[j]) for r in rounds}
         for j in range(1, n + 1)
     }
     material = dkg_finalize(group, cfg, rounds, received, disqualified=disqualified)
@@ -109,7 +109,7 @@ def test_disqualified_dealer_excluded(group):
     recipient_pks = {j: kp.pk for j, kp in enc_keys.items()}
     rounds = [dkg_deal(group, cfg, i, recipient_pks, rng.child(f"deal-{i}")) for i in range(1, 4)]
     received = {
-        j: {r.participant_id: open_share(group, r, j, enc_keys[j].sk) for r in rounds}
+        j: {r.participant_id: open_share(group, r, j, enc_keys[j]) for r in rounds}
         for j in range(1, 4)
     }
     full = dkg_finalize(group, cfg, rounds, received)

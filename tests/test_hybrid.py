@@ -1,3 +1,6 @@
+import hashlib
+import hmac
+
 import pytest
 
 from adreward.elgamal import keygen
@@ -5,6 +8,7 @@ from adreward.encoding import DetRng, dhash, encode_element
 from adreward.errors import AuthFailure, InvalidPublicKey
 from adreward.group import P
 from adreward.hybrid import (
+    _seal,
     derive_shared_keys,
     hybrid_unwrap,
     hybrid_wrap,
@@ -21,7 +25,7 @@ def recipient(group):
 def test_wrap_unwrap_round_trip(group, recipient, rng):
     payload = b"per-ad policy entry: 20 coins"
     wrapped = hybrid_wrap(group, recipient.pk, payload, rng)
-    assert hybrid_unwrap(group, recipient.sk, wrapped) == payload
+    assert hybrid_unwrap(group, recipient, wrapped) == payload
 
 
 def test_single_bit_tamper_fails_authentication(group, recipient, rng):
@@ -33,14 +37,14 @@ def test_single_bit_tamper_fails_authentication(group, recipient, rng):
 
         mutated = WrappedKey(kem_ciphertext=wrapped.kem_ciphertext, sealed_payload=bytes(tampered))
         with pytest.raises(AuthFailure):
-            hybrid_unwrap(group, recipient.sk, mutated)
+            hybrid_unwrap(group, recipient, mutated)
 
 
 def test_wrong_recipient_key_fails(group, recipient, rng):
     other = keygen(group, DetRng("wrong-recipient"))
     wrapped = hybrid_wrap(group, recipient.pk, b"payload", rng)
     with pytest.raises(AuthFailure):
-        hybrid_unwrap(group, other.sk, wrapped)
+        hybrid_unwrap(group, other, wrapped)
 
 
 def test_empty_payload_rejected(group, recipient, rng):
@@ -89,3 +93,23 @@ def test_dh_refuses_a_peer_key_that_is_not_a_non_identity_element(group, peer_pk
         derive_shared_keys(group, own.sk, peer_pk, ["campaign/policy/0"])
     valid = keygen(group, DetRng("dh-valid-peer")).pk
     assert len(derive_shared_keys(group, own.sk, valid, ["campaign/policy/0"])) == 1
+
+
+def _byte_loop_seal(key: bytes, nonce: bytes, payload: bytes) -> bytes:
+    """The sealing cipher as first written: a keystream block at a time, XORed byte by byte."""
+    enc_key = dhash("adreward/aead-enc", key)
+    mac_key = dhash("adreward/aead-mac", key)
+    ct = bytearray(len(payload))
+    for offset in range(0, len(payload), 32):
+        block = hashlib.sha256(enc_key + nonce + (offset // 32).to_bytes(4, "big")).digest()
+        for i, byte in enumerate(payload[offset:offset + 32]):
+            ct[offset + i] = byte ^ block[i]
+    return nonce + bytes(ct) + hmac.new(mac_key, nonce + bytes(ct), hashlib.sha256).digest()
+
+
+def test_sealed_bytes_match_the_byte_loop_reference_for_every_short_length():
+    rng = DetRng("keystream-reference")
+    key, nonce = rng.bytes(32), rng.bytes(16)
+    for length in range(101):
+        payload = rng.bytes(length)
+        assert _seal(key, nonce, payload) == _byte_loop_seal(key, nonce, payload), length

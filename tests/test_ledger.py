@@ -5,12 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adreward import ledger as ledger_module
 from adreward.codec import decode_args, decode_value, encode_args, encode_value
 from adreward.elgamal import keygen
 from adreward.encoding import DetRng
 from adreward.errors import BadSequence, BadSignature, InsufficientFunds, Revert
 from adreward.hybrid import WrappedKey
-from adreward.ledger import Call, ExecutionContext, LedgerState, address_from_pk, run_parallel
+from adreward.ledger import (
+    Call,
+    ExecutionContext,
+    LedgerState,
+    address_from_pk,
+    run_parallel,
+    transaction_signing_bytes,
+)
 from adreward.proofs import sign
 
 
@@ -68,12 +76,40 @@ def test_wrong_sequence_rejected(ledger, accounts):
 
 def test_bad_signature_rejected(ledger, accounts, group):
     tx = ledger.make_tx(accounts[0], Call("system", "transfer", (address_from_pk(accounts[1].pk), 5)))
-    forged = dataclasses.replace(tx, signature=sign(group, accounts[1].sk, tx.signing_bytes()))
+    forged = dataclasses.replace(tx, signature=sign(group, accounts[1], tx.signing_bytes()))
     with pytest.raises(BadSignature):
         ledger.submit(forged)
     tampered_call = dataclasses.replace(tx, call=Call("system", "transfer", (address_from_pk(accounts[1].pk), 500)))
     with pytest.raises(BadSignature):
         ledger.submit(tampered_call)
+
+
+def test_the_signing_memo_never_vouches_for_fields_it_was_not_computed_from(ledger, accounts):
+    dest = address_from_pk(accounts[1].pk)
+    tx = ledger.make_tx(accounts[0], Call("system", "transfer", (dest, 5)), private_args=(b"inputs", 7))
+    other = ledger.make_tx(accounts[0], Call("system", "transfer", (dest, 5)), private_args=(b"other", 8))
+    assert tx.signing_bytes() == transaction_signing_bytes(tx.sequence_no, tx.sender, tx.call, tx.private_envelope)
+    assert dataclasses.replace(tx).signing_bytes() == tx.signing_bytes()
+    swapped = (
+        dataclasses.replace(tx, call=Call("system", "transfer", (dest, 500))),
+        dataclasses.replace(tx, private_envelope=other.private_envelope),
+        dataclasses.replace(tx, private_envelope=None),
+    )
+    for forged in swapped:
+        assert forged.signature == tx.signature
+        with pytest.raises(BadSignature):
+            ledger.submit(forged)
+    assert ledger.submit(tx).status == "ok"
+
+
+def test_submit_checks_make_tx_signed_bytes_without_encoding_again(ledger, accounts, monkeypatch):
+    calls = []
+    encode = ledger_module.transaction_signing_bytes
+    monkeypatch.setattr(ledger_module, "transaction_signing_bytes", lambda *args: calls.append(args) or encode(*args))
+    tx = ledger.make_tx(accounts[0], Call("system", "transfer", (address_from_pk(accounts[1].pk), 5)))
+    assert len(calls) == 1
+    assert ledger.submit(tx).status == "ok"
+    assert len(calls) == 1
 
 
 def test_conservation_across_random_ops(ledger, accounts):

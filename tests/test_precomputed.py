@@ -130,7 +130,7 @@ def test_verify_sig_rejects_a_signer_key_outside_the_group(group):
     # the Schnorr equation itself holds, so only the membership test can refuse it
     big_r = pow(group.g, forged.response, P) * pow(pow(forged_pk, forged.challenge, P), -1, P) % P
     assert group.hash_to_scalar(SIG_DOMAIN, encode_element(forged_pk), encode_element(big_r), msg) == forged.challenge
-    assert verify_sig(group, key.pk, msg, sign(group, key.sk, msg))
+    assert verify_sig(group, key.pk, msg, sign(group, key, msg))
     assert not verify_sig(group, forged_pk, msg, forged)
     with group.precomputed(key.pk):
         assert not verify_sig(group, forged_pk, msg, forged)

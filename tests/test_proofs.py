@@ -29,13 +29,13 @@ def keypair(group):
 
 
 def test_signature_round_trip(group, keypair):
-    sig = sign(group, keypair.sk, b"reward aggregate")
+    sig = sign(group, keypair, b"reward aggregate")
     assert verify_sig(group, keypair.pk, b"reward aggregate", sig)
 
 
 def test_signature_rejects_all_single_bit_mutations(group, keypair):
     msg = bytes(DetRng("sig-msg").bytes(125))  # 1000 bits
-    sig = sign(group, keypair.sk, msg)
+    sig = sign(group, keypair, msg)
     assert verify_sig(group, keypair.pk, msg, sig)
     rejected = 0
     for bit in range(len(msg) * 8):
@@ -48,12 +48,12 @@ def test_signature_rejects_all_single_bit_mutations(group, keypair):
 
 def test_signature_rejects_wrong_key(group, keypair):
     other = keygen(group, DetRng("other-key"))
-    sig = sign(group, keypair.sk, b"msg")
+    sig = sign(group, keypair, b"msg")
     assert not verify_sig(group, other.pk, b"msg", sig)
 
 
 def test_signature_is_deterministic(group, keypair):
-    assert sign(group, keypair.sk, b"msg") == sign(group, keypair.sk, b"msg")
+    assert sign(group, keypair, b"msg") == sign(group, keypair, b"msg")
 
 
 # -- decryption proofs -----------------------------------------------------------

@@ -1,7 +1,11 @@
 import json
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from adreward.bench import benchmark_summary, run_cohort
 from adreward.encoding import DetRng, encode_scalar
+from adreward.ledger import Call
 from adreward.scenario import (
     ScenarioConfig,
     _policy_plaintext_leaked,
@@ -9,6 +13,7 @@ from adreward.scenario import (
     build_plan,
     open_campaign,
     run_campaign,
+    scalar_encoding_found,
 )
 
 
@@ -96,12 +101,54 @@ def test_cohort_ends_in_the_same_state_for_the_same_seed():
     assert first["state_hash"] == second["state_hash"]
 
 
-def test_policy_privacy_check_finds_a_policy_planted_in_a_transaction():
+def _plant(where: str) -> bool:
+    """Open a small campaign, plant its first policy's encoding at ``where`` and run the privacy search."""
     cfg = ScenarioConfig(name="leak", seed=41, num_ads=3, num_advertisers=1, users=1,
                          policy_max=255, click_cap=4, pool_registered=4, pool_expected=2, fee=5)
     campaign = open_campaign(cfg, "policy-leak")
     ledger, policies = campaign.ledger, campaign.plan.policies
-    assert not _policy_plaintext_leaked(ledger, campaign.psc_id, campaign.fsc_id, policies)
-    receipt = ledger.transfer(campaign.cf.account, encode_scalar(policies[0]), 0)
-    assert receipt.status == "ok"
-    assert _policy_plaintext_leaked(ledger, campaign.psc_id, campaign.fsc_id, policies)
+    assert not _policy_plaintext_leaked(ledger, ledger.state_parts(), policies)
+    needle = encode_scalar(policies[0])
+    if where == "transfer destination":
+        assert ledger.transfer(campaign.cf.account, needle, 0).status == "ok"
+    elif where == "call argument":
+        # a reverted call is still logged with its arguments
+        receipt = ledger.call(campaign.cf.account, Call(campaign.psc_id, "no_such_method", (b"note:" + needle + b"!",)))
+        assert receipt.status == "reverted"
+    else:
+        campaign.psc.enc_policies[1] = needle
+    return _policy_plaintext_leaked(ledger, ledger.state_parts(), policies)
+
+
+def test_policy_privacy_check_finds_a_policy_planted_in_a_transaction():
+    assert _plant("transfer destination")
+    assert _plant("call argument")
+    assert _plant("contract storage")
+
+
+def _naive_scalar_encoding_found(chunks, values) -> bool:
+    needles = {encode_scalar(v) for v in values}
+    return any(n in chunk for chunk in chunks for n in needles)
+
+
+@st.composite
+def _chunks_and_policies(draw):
+    policies = draw(st.lists(st.integers(1, 1 << 16), min_size=1, max_size=5))
+    encoded = (st.integers(1, 1 << 16) | st.sampled_from(policies)).map(encode_scalar)
+    zero_run = st.integers(0, 80).map(bytes)
+    segment = st.one_of(st.binary(max_size=40), zero_run, encoded, encoded.map(lambda e: e[:-1]))
+    chunks = draw(st.lists(st.lists(segment, max_size=6).map(b"".join), max_size=4))
+    return chunks, policies
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chunks_and_policies())
+@example(([encode_scalar(7) + b"\x01"], [7]))  # a needle at a chunk's start
+@example(([b"\x01" + encode_scalar(1 << 16)], [3, 1 << 16]))  # at its end
+@example(([encode_scalar(1 << 16)], [1 << 16]))  # the whole chunk
+@example(([bytes(50) + encode_scalar(5) + bytes(50)], [5, 300]))  # inside a long zero run
+@example(([bytes(60) + encode_scalar(1 << 16)[:3] + bytes(28)], [1 << 16]))  # one zero short
+@example(([bytes(100), encode_scalar(9)[:31]], [1, 9]))  # zeros only, and a chunk too short
+def test_one_pass_policy_search_agrees_with_the_naive_search(case):
+    chunks, policies = case
+    assert scalar_encoding_found(chunks, policies) == _naive_scalar_encoding_found(chunks, policies)
