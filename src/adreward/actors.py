@@ -14,6 +14,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .dkg import (
+    PARTIAL_DOMAIN,
     ThresholdConfig,
     dkg_deal,
     dkg_finalize,
@@ -23,16 +24,17 @@ from .dkg import (
     lagrange_combine,
     open_share,
     partial_decrypt,
+    partial_statement,
 )
 from .elgamal import (
     Ciphertext,
     KeyPair,
-    add_ciphertexts,
     decrypt_to_element,
     encrypt_vector,
     encrypt_vector_to_self,
     keygen,
     recover_plaintext,
+    sum_ciphertexts,
 )
 from .encoding import DetRng, decode_scalar, encode_scalar
 from .errors import BadSignature, InsufficientShares, InvalidPartial, NoWinners, PolicyMismatch, Revert
@@ -40,7 +42,7 @@ from .group import PrimeOrderGroup
 from .hybrid import derive_shared_keys, hybrid_wrap, symmetric_open, symmetric_seal
 from .ledger import Call, LedgerState, address_from_pk
 from .payments import PayerLedger, make_note, settle_batch, verify_opening
-from .proofs import aggregate_message, prove_decryption, sign, verify_sig
+from .proofs import aggregate_message, dleq_verify_batch, prove_decryption, sign, verify_sig
 from .vrf import vrf_keygen, vrf_rand_gen
 
 MAX_DRAW_ROUNDS = 32
@@ -452,7 +454,7 @@ def user_payment_request(
     elem = decrypt_to_element(group, session.ephemeral.sk, session.aggregate)
     session.dec_result = recover_plaintext(group, elem, recovery_bound)
     claimed = session.dec_result + proof_plaintext_offset  # offset used by fault-injection tests
-    proof = prove_decryption(group, session.ephemeral.sk, session.aggregate, session.dec_result)
+    proof = prove_decryption(group, session.ephemeral, session.aggregate, session.dec_result)
     request = (session.ephemeral.pk, claimed, session.aggregate_sig, proof, session.reward_address)
     receipt = ledger.call(session.payment_key, Call(psc_id, "payment_request", ()), private_args=request)
     if receipt.status != "ok":
@@ -552,11 +554,8 @@ def aggregate_click_ciphertexts(
     The sums come back in the order of ``ad_indices``: the pool passes every
     catalog index, an advertiser's audit only its own ads.
     """
-    psc = ledger.contracts[psc_id]
-    sums = [Ciphertext(c1=1, c2=1)] * len(ad_indices)
-    for _, enc_vec_prime in psc.enc_vec_prime_log:
-        sums = [add_ciphertexts(group, acc, enc_vec_prime[i]) for acc, i in zip(sums, ad_indices)]
-    return tuple(sums)
+    log = ledger.contracts[psc_id].enc_vec_prime_log
+    return tuple(sum_ciphertexts(group, (enc_vec_prime[i] for _, enc_vec_prime in log)) for i in ad_indices)
 
 
 def analytics_round(
@@ -588,7 +587,9 @@ def analytics_round(
     for ct in aggregate_cts:
         with group.precomputed(ct.c1) if group.is_element(ct.c1) else nullcontext():
             for member, row in zip(pool.members, rows):
-                row.append(partial_decrypt(group, member.pool_index, member.material.share, ct))
+                material = member.material
+                commitment = material.share_commitments[member.pool_index]
+                row.append(partial_decrypt(group, member.pool_index, material.share, commitment, ct))
     refused = {}
     for member, row in zip(pool.members, rows):
         call = Call(fsc_id, "post_analytics", (member.pool_index, aggregate_cts, tuple(row)))
@@ -643,6 +644,10 @@ def advertiser_verify_analytics(
     posted partial once; ``post_analytics`` has already checked all of them
     on chain, and ``analytics_round`` combines the totals from those checked
     partials without checking them again.
+
+    All the checked partials go into one ``dleq_verify_batch``. Only when the
+    batch does not accept are they checked member by member, as
+    ``post_analytics`` checks a row.
     """
     psc = ledger.contracts[psc_id]
     fsc = ledger.contracts[fsc_id]
@@ -652,11 +657,18 @@ def advertiser_verify_analytics(
     posted_cts = tuple(fsc.posted_aggregate_cts[i] for i in own)
     if aggregate_click_ciphertexts(group, ledger, psc_id, own) != posted_cts:
         return False
+    rows = []
     for pool_index, partials in fsc.posted_partials.items():
         commitment = psc.pool_share_commitments.get(pool_index)
         if commitment is None:
             return False
-        own_partials = [partials[i] for i in own]
-        if first_rejected_partial(group, posted_cts, own_partials, commitment) is not None:
-            return False
-    return True
+        rows.append((commitment, [partials[i] for i in own]))
+    statements = [
+        partial_statement(group, c, partial, commitment)
+        for commitment, own_partials in rows
+        for c, partial in zip(posted_cts, own_partials)
+    ]
+    if dleq_verify_batch(group, PARTIAL_DOMAIN, statements):
+        return True
+    return all(first_rejected_partial(group, posted_cts, own_partials, commitment) is None
+               for commitment, own_partials in rows)

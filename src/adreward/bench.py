@@ -126,7 +126,7 @@ def bench_client(sizes: tuple[int, ...] = (64, 128, 256), runs: int = 10, seed: 
                 t0 = time.perf_counter()
                 elem = decrypt_to_element(group, user.sk, aggregate)
                 m = recover_plaintext(group, elem, bound)
-                prove_decryption(group, user.sk, aggregate, m)
+                prove_decryption(group, user, aggregate, m)
                 request_s[size] += time.perf_counter() - t0
         for size in sizes:
             request_samples[size].append(request_s[size] / reps)

@@ -5,7 +5,9 @@ and sends each participant an encrypted evaluation. Shares from disqualified
 dealers are dropped; the pool key is the product of the surviving constant
 terms, and each participant's share is the sum of the evaluations it kept.
 Partial decryptions carry DLEQ proofs so anybody can check them against the
-public share commitments before combining with Lagrange coefficients.
+public share commitments before combining with Lagrange coefficients. A row of
+one member's partials is checked as one ``dleq_verify_batch``
+(``first_rejected_partial``), and proof by proof only when the batch refuses.
 
 Combining has two entry points. ``combine_partials`` takes partials nobody has
 checked yet: it checks the ids and the threshold, verifies every partial and
@@ -18,7 +20,6 @@ per quorum and reuses it for every ciphertext that quorum decrypts.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .elgamal import Ciphertext, KeyPair
@@ -26,7 +27,7 @@ from .encoding import DetRng, decode_scalar, encode_scalar
 from .errors import InsufficientShares, InvalidConfig, InvalidPartial, NoQualifiedDealers
 from .group import PrimeOrderGroup
 from .hybrid import WrappedKey, hybrid_unwrap, hybrid_wrap
-from .proofs import DleqProof, dleq_prove, dleq_verify
+from .proofs import DleqProof, dleq_prove, dleq_verify, dleq_verify_batch
 
 PARTIAL_DOMAIN = "adreward/partial-dec"
 
@@ -152,10 +153,22 @@ def dkg_finalize(
     return material
 
 
-def partial_decrypt(group: PrimeOrderGroup, participant_id: int, share: int, c: Ciphertext) -> PartialDecryption:
+def partial_decrypt(
+    group: PrimeOrderGroup, participant_id: int, share: int, share_commitment: int, c: Ciphertext,
+) -> PartialDecryption:
+    """The member's partial decryption of c, with its proof against ``share_commitment`` = g^share."""
     d = group.power(c.c1, share)
-    proof = dleq_prove(group, PARTIAL_DOMAIN, group.g, c.c1, share, context=c.to_bytes(), public2=d)
+    proof = dleq_prove(
+        group, PARTIAL_DOMAIN, group.g, c.c1, share, context=c.to_bytes(), public1=share_commitment, public2=d,
+    )
     return PartialDecryption(participant_id=participant_id, d_i=d, proof=proof)
+
+
+def partial_statement(
+    group: PrimeOrderGroup, c: Ciphertext, partial: PartialDecryption, share_commitment: int,
+) -> tuple:
+    """The DLEQ statement of one partial: ``dleq_verify``'s arguments after the domain."""
+    return group.g, share_commitment, c.c1, partial.d_i, partial.proof, c.to_bytes()
 
 
 def verify_partial(
@@ -165,16 +178,7 @@ def verify_partial(
     share_commitment: int,
 ) -> bool:
     """Check one partial's DLEQ proof against the member's share commitment."""
-    return dleq_verify(
-        group,
-        PARTIAL_DOMAIN,
-        group.g,
-        share_commitment,
-        c.c1,
-        partial.d_i,
-        partial.proof,
-        context=c.to_bytes(),
-    )
+    return dleq_verify(group, PARTIAL_DOMAIN, *partial_statement(group, c, partial, share_commitment))
 
 
 def first_rejected_partial(
@@ -185,13 +189,16 @@ def first_rejected_partial(
 ) -> int | None:
     """Index of the first of one member's partials (paired with cts) that fails, or None.
 
-    The row shares one fixed-base table of the member's share commitment. A
-    commitment outside the group gets none and is checked with plain ``pow``.
+    The row is checked as one ``dleq_verify_batch``; only a row that the batch
+    does not accept is checked partial by partial, to find the index.
     """
-    with group.precomputed(share_commitment) if group.is_element(share_commitment) else nullcontext():
-        for index, (c, partial) in enumerate(zip(cts, partials)):
-            if not verify_partial(group, c, partial, share_commitment):
-                return index
+    row = list(zip(cts, partials))
+    statements = [partial_statement(group, c, partial, share_commitment) for c, partial in row]
+    if dleq_verify_batch(group, PARTIAL_DOMAIN, statements):
+        return None
+    for index, (c, partial) in enumerate(row):
+        if not verify_partial(group, c, partial, share_commitment):
+            return index
     return None
 
 

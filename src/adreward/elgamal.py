@@ -9,6 +9,7 @@ configured bound.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .encoding import DetRng, encode_element
@@ -101,11 +102,14 @@ def scalar_mul_ciphertext(group: PrimeOrderGroup, a: Ciphertext, k: int) -> Ciph
     return Ciphertext(c1=group.power(a.c1, k), c2=group.power(a.c2, k))
 
 
-def sum_ciphertexts(group: PrimeOrderGroup, items: list[Ciphertext]) -> Ciphertext:
-    acc = Ciphertext(c1=1, c2=1)
+def sum_ciphertexts(group: PrimeOrderGroup, items: Iterable[Ciphertext]) -> Ciphertext:
+    """The homomorphic sum of ``items``, as folding ``add_ciphertexts`` from (1, 1) gives it, with one object."""
+    p = group.p
+    c1 = c2 = 1
     for item in items:
-        acc = add_ciphertexts(group, acc, item)
-    return acc
+        c1 = c1 * item.c1 % p
+        c2 = c2 * item.c2 % p
+    return Ciphertext(c1=c1, c2=c2)
 
 
 def decrypt_to_element(group: PrimeOrderGroup, sk: int, c: Ciphertext) -> int:

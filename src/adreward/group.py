@@ -5,8 +5,10 @@ prime p = 2q + 1, which gives exactly what the protocol needs: prime order,
 canonical 32-byte element encodings, and two generators g, h with unknown
 relative discrete log (h is derived by hashing into the group). Exponentiation
 is CPython's C-level ``pow``, with Straus' simultaneous exponentiation for
-products of two powers and fixed-base comb tables (Lim and Lee, CRYPTO '94;
-see ``FixedBaseTable``) for bases that are raised to many exponents:
+products of two powers (``multi_power``), a bucket multi-exponentiation for
+products of many (``multi_exp``, which batch verification uses) and fixed-base
+comb tables (Lim and Lee, CRYPTO '94; see ``FixedBaseTable``) for bases that
+are raised to many exponents:
 
 * g has one table for the life of the group, since g is by far the hottest
   base (key generation, encryption, transcript commitments); a user encrypts
@@ -19,10 +21,11 @@ see ``FixedBaseTable``) for bases that are raised to many exponents:
   wrapped, and the facilitator's account key, which signs every setup
   transaction; the user phases the consortium key and the pool key; settlement
   h, under which every payment note is committed and opened, and the
-  facilitator's key, which signs every ``payment_processed``. A pool member's
-  share commitment is registered while a row of its partial decryptions is
-  checked, and each analytics sum's c1 while every pool member decrypts that
-  sum (``actors.analytics_round``), since each member raises it twice.
+  facilitator's key, which signs every ``payment_processed``. Each analytics
+  sum's c1 is registered while every pool member decrypts that sum
+  (``actors.analytics_round``), since each member raises it twice. Rows of
+  partial decryptions are checked in batches, which raise each share
+  commitment once and need no table.
 
 A table holds 4 x 256 integers (68 KiB) and costs about as much to build as
 four or five full ``pow`` calls. A power takes about 39 modular
@@ -31,13 +34,24 @@ Exponents below 2^16 go to ``pow``.
 
 Membership in the subgroup is the Legendre symbol, which for this p is
 computed faster by the Jacobi-symbol loop than by ``pow(a, q, p)``.
+``all_elements`` checks many values at once with 128 symbols of random subset
+products, wrong only when some value is not an element and then with
+probability at most 2^-128. ``proofs.dleq_verify_batch`` uses it and
+``multi_exp`` to accept a batch of DLEQ proofs with error at most 2^-126 per
+seed; its callers check a refused batch proof by proof.
+
+``multi_power`` stays for two bases: on a 2-core host (Python 3.11, median of
+7 x 300 calls with 255-bit exponents) it took 182 us per call where
+``multi_exp`` took 386 us, because a bucket method spends two multiplications
+per bucket and window however few bases it has.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 
 from .encoding import encode_element, hash_to_int
@@ -50,6 +64,10 @@ Q = (P - 1) // 2
 _WINDOW_BITS = 4
 
 _SMALL_EXPONENT = 1 << 16  # below this, C ``pow`` beats a comb table
+
+_SIGN_TESTS = 128  # Legendre symbols per ``all_elements`` call: a non-element escapes with probability 2^-128
+_SIGN_BLOCK = 5  # values per block of precomputed subset products in ``all_elements``
+_SIGN_SUBSETS = 1 << _SIGN_BLOCK
 
 # shifts and masks of the three delta swaps of an 8 x 8 bit transpose,
 # repeated in each of the four 64-bit lanes of a 256-bit integer
@@ -151,6 +169,43 @@ class PrimeOrderGroup:
                 acc = acc * t2[d2] % p
         return acc
 
+    def multi_exp(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """Product of base^exponent mod p over (base, exponent) pairs, as ``pow`` on each gives it.
+
+        Bucket (Pippenger) multi-exponentiation: the exponents are read in
+        c-bit windows from the top; in each window every base is multiplied
+        into the bucket of its digit, and the buckets are combined as
+        prod(bucket_k^k) with two multiplications per bucket. The window c
+        minimises (pairs + 2^(c+1)) / c, so the cost per exponent bit falls
+        as pairs are added. Exponents must be non-negative and are not
+        reduced mod q, which keeps the result exact for bases outside the
+        subgroup; bases may be any integers.
+        """
+        p = self.p
+        pairs = [(base % p, exponent) for base, exponent in pairs if exponent]
+        if not pairs:
+            return 1
+        c = _bucket_window(len(pairs))
+        mask = (1 << c) - 1
+        top = max(exponent.bit_length() for _, exponent in pairs)
+        acc = 1
+        for shift in range((top - 1) // c * c, -1, -c):
+            acc = pow(acc, 1 << c, p)
+            buckets = [1] * (mask + 1)
+            for base, exponent in pairs:
+                digit = (exponent >> shift) & mask
+                if digit:
+                    buckets[digit] = buckets[digit] * base % p
+            # running = prod(buckets[k:]) multiplied in once per k gives prod(bucket_k^k)
+            running = window = 1
+            for bucket in reversed(buckets[1:]):
+                if bucket != 1:
+                    running = running * bucket % p
+                if running != 1:
+                    window = window * running % p
+            acc = acc * window % p
+        return acc
+
     # -- membership and sampling ----------------------------------------------
 
     def is_element(self, a: int) -> bool:
@@ -158,6 +213,43 @@ class PrimeOrderGroup:
             return False
         # a registered base was checked when its scope opened
         return a in self._tables or _jacobi(a, self.p) == 1
+
+    def all_elements(self, values: Sequence[int], seed: bytes) -> bool:
+        """Whether every value is a group element; wrong only when some value is not, with probability at most 2^-128.
+
+        Every value must lie in [1, p-1]. Up to 128 values then get one
+        Legendre symbol each, which is exact. More values get 128 Legendre
+        symbols of random subset products instead. The symbol is
+        multiplicative, so taking one non-residue in or out of a subset flips
+        the symbol of its product: if any value is a non-residue, each random
+        subset product is a residue with probability exactly 1/2. The subsets
+        are read from SHAKE-256 of the seed. The values are split into blocks
+        of 5 whose 32 subset products are computed once, so a subset product
+        costs one multiplication per block.
+        """
+        p = self.p
+        if not all(0 < v < p for v in values):
+            return False
+        if len(values) <= _SIGN_TESTS:
+            return all(_jacobi(v, p) == 1 for v in values)
+        blocks = []
+        for start in range(0, len(values), _SIGN_BLOCK):
+            products = [1]
+            for v in values[start:start + _SIGN_BLOCK]:
+                products += [x * v % p for x in products]
+            # a short last block repeats its products, which keeps its subsets uniform
+            blocks.append(products * (_SIGN_SUBSETS // len(products)))
+        n = len(blocks)
+        # one byte per block and test, of which the low 5 bits pick the block's subset
+        picks = hashlib.shake_256(b"adreward/subset-signs" + seed).digest(_SIGN_TESTS * n)
+        mask = _SIGN_SUBSETS - 1
+        for test in range(_SIGN_TESTS):
+            acc = 1
+            for products, pick in zip(blocks, picks[test * n:(test + 1) * n]):
+                acc = acc * products[pick & mask] % p
+            if _jacobi(acc, p) != 1:
+                return False
+        return True
 
     def random_scalar(self, rng) -> int:
         return rng.nonzero_scalar(self.q)
@@ -218,6 +310,11 @@ class PrimeOrderGroup:
                 return None
             gamma = gamma * giant % p
         return None
+
+
+def _bucket_window(pairs: int) -> int:
+    """Window bits of a bucket multi-exponentiation: per exponent bit it costs (pairs + 2^(c+1)) / c multiplications."""
+    return min(range(1, 17), key=lambda c: (pairs + (2 << c)) / c)
 
 
 def _jacobi(a: int, n: int) -> int:

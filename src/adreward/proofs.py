@@ -7,11 +7,19 @@ with Fiat-Shamir; each proof type hashes under its own domain string so
 transcripts cannot be replayed across protocols. Nonces are derived
 deterministically from the secret and the transcript, which keeps every
 proof reproducible for a fixed seed.
+
+``dleq_verify_batch`` checks many DLEQ proofs under one domain at once with a
+small-exponent test and a Legendre sign test. It is accept-only: True means
+every proof passes ``dleq_verify`` except with probability at most 2^-126 per
+seed, and a caller that gets False decides proof by proof with
+``dleq_verify``.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .elgamal import Ciphertext, KeyPair
@@ -20,6 +28,9 @@ from .group import PrimeOrderGroup
 
 SIG_DOMAIN = "adreward/schnorr-sig"
 DECRYPT_DOMAIN = "adreward/decrypt-proof"
+BATCH_DOMAIN = "adreward/dleq-batch"
+
+_BATCH_COEFFICIENT_BYTES = 16  # 128-bit small exponents: a bad batch passes with probability 2^-128
 
 
 @dataclass(frozen=True)
@@ -83,14 +94,17 @@ def dleq_prove(
     base2: int,
     exponent: int,
     context: bytes = b"",
+    public1: int | None = None,
     public2: int | None = None,
 ) -> DleqProof:
     """Prove log_base1(base1^x) = log_base2(base2^x) for x = exponent.
 
-    A caller that already holds base2^exponent passes it as ``public2``.
+    A caller that already holds base1^exponent or base2^exponent passes it as
+    ``public1`` or ``public2``.
     """
     power1 = group.pow_g if base1 == group.g else functools.partial(group.power, base1)
-    public1 = power1(exponent)
+    if public1 is None:
+        public1 = power1(exponent)
     if public2 is None:
         public2 = group.power(base2, exponent)
     w = hash_to_int(
@@ -141,6 +155,76 @@ def dleq_verify(
     return group.multi_power(base2, z, public2, p - 1 - e) == proof.commitment_b % p
 
 
+def dleq_verify_batch(group: PrimeOrderGroup, domain: str, statements: Sequence[tuple]) -> bool:
+    """Accept-only check of many DLEQ proofs under one domain, each given as the arguments of ``dleq_verify``.
+
+    Each statement is ``(base1, public1, base2, public2, proof, context)``.
+    True means every proof passes ``dleq_verify``, except with probability at
+    most 2^-126 per seed. False proves nothing by itself: it is also returned
+    when some element lies outside [1, p-1], which ``dleq_verify`` may still
+    accept, so a caller decides a refused batch proof by proof.
+
+    1. Every proof's range and transcript hash are checked as ``dleq_verify``
+       checks them.
+    2. The seed hashes the domain and every challenge and response; each
+       challenge already binds its statement and commitments. SHAKE-256 of
+       the seed gives 128-bit coefficients r_j and s_j.
+    3. Proof j passes when U_j = base1^z / (a public1^e) and V_j = base2^z /
+       (b public2^e) are 1. The Legendre symbol of U_j is that of its "sign
+       carrier" a base1^(z&1) public1^(e&1), and likewise for V_j;
+       ``group.all_elements`` checks that all carriers are residues, so every
+       U_j and V_j is a residue (wrong with probability at most 2^-128).
+    4. Small-exponent test (Bellare, Garay and Rabin, EUROCRYPT 1998):
+       prod(U_j^r_j V_j^s_j) = 1, checked as g^(sum r_j z_j) times one
+       ``multi_exp`` over the other verification bases, merged where equal,
+       against +-prod(a_j^r_j b_j^s_j). Exponents are reduced mod q, which
+       changes a unit's power by a sign only, so equality is up to sign; since
+       the signs were checked in step 3, a product that is -1 cannot be a
+       residue. If some U_j or V_j is a residue other than 1, the test passes
+       with probability at most 2^-128: the residues have prime order q >
+       2^128, so at most one value of its coefficient balances the product.
+
+    The two failure chances add up to 2^-127, inside the 2^-126 stated
+    above. If every proof passes ``dleq_verify`` and every element is in
+    range, the result is True.
+    """
+    p, q = group.p, group.q
+    for base1, public1, base2, public2, proof, context in statements:
+        a, b, e, z = proof.commitment_a, proof.commitment_b, proof.challenge, proof.response
+        if not all(0 < v < p for v in (base1, public1, base2, public2, a, b)):
+            return False
+        if not (0 <= e < q and 0 <= z < q):
+            return False
+        if _dleq_transcript(group, domain, base1, public1, base2, public2, a, b, context) != e:
+            return False
+    seed = dhash(
+        BATCH_DOMAIN,
+        domain.encode(),
+        b"".join(encode_scalar(proof.challenge) + encode_scalar(proof.response) for *_, proof, _ in statements),
+    )
+    width = _BATCH_COEFFICIENT_BYTES
+    coefficients = hashlib.shake_256(seed).digest(2 * width * len(statements))
+    carriers = []
+    verification: dict[int, int] = {}  # base -> exponent on the side of base1^z and base2^z
+    commitments: dict[int, int] = {}  # a_j and b_j -> coefficient
+    for j, (base1, public1, base2, public2, proof, _) in enumerate(statements):
+        a, b, e, z = proof.commitment_a, proof.commitment_b, proof.challenge, proof.response
+        r = int.from_bytes(coefficients[2 * j * width:(2 * j + 1) * width], "little")
+        s = int.from_bytes(coefficients[(2 * j + 1) * width:(2 * j + 2) * width], "little")
+        carriers.append(a * (base1 if z & 1 else 1) * (public1 if e & 1 else 1) % p)
+        carriers.append(b * (base2 if z & 1 else 1) * (public2 if e & 1 else 1) % p)
+        for base, exponent in ((base1, r * z), (public1, -r * e), (base2, s * z), (public2, -s * e)):
+            verification[base] = verification.get(base, 0) + exponent
+        commitments[a] = commitments.get(a, 0) + r
+        commitments[b] = commitments.get(b, 0) + s
+    if not group.all_elements(carriers, seed):
+        return False
+    lhs = group.pow_g(verification.pop(group.g, 0))
+    lhs = lhs * group.multi_exp((base, exponent % q) for base, exponent in verification.items()) % p
+    rhs = group.multi_exp(commitments.items())
+    return lhs == rhs or lhs == p - rhs
+
+
 def _decryption_context(group: PrimeOrderGroup, c: Ciphertext, m: int) -> tuple[bytes, int]:
     """The DLEQ context and public2 of the claim that c decrypts to m: c2 / g^m = c1^sk.
 
@@ -152,10 +236,10 @@ def _decryption_context(group: PrimeOrderGroup, c: Ciphertext, m: int) -> tuple[
     return c.to_bytes() + encode_element(plaintext_elem), group.div(c.c2, plaintext_elem)
 
 
-def prove_decryption(group: PrimeOrderGroup, sk: int, c: Ciphertext, m: int) -> DleqProof:
-    """Prove that c decrypts to m under the secret key matching pk = g^sk."""
+def prove_decryption(group: PrimeOrderGroup, key: KeyPair, c: Ciphertext, m: int) -> DleqProof:
+    """Prove that c decrypts to m under ``key``."""
     context, public2 = _decryption_context(group, c, m)
-    return dleq_prove(group, DECRYPT_DOMAIN, group.g, c.c1, sk, context=context, public2=public2)
+    return dleq_prove(group, DECRYPT_DOMAIN, group.g, c.c1, key.sk, context=context, public1=key.pk, public2=public2)
 
 
 def verify_decryption(group: PrimeOrderGroup, pk: int, c: Ciphertext, m: int, proof: DleqProof) -> bool:

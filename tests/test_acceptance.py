@@ -114,7 +114,7 @@ def test_criterion_3_analytics_threshold_subsets(honest_runs):
             sums = [add_ciphertexts(group, a, b) for a, b in zip(sums, cts)]
         brute = [sum(vec[i] for vec in vectors) for i in range(6)]
         partials = {
-            j: [partial_decrypt(group, j, material[j].share, ct) for ct in sums]
+            j: [partial_decrypt(group, j, material[j].share, commitments[j], ct) for ct in sums]
             for j in range(1, n + 1)
         }
         for subset in itertools.combinations(range(1, n + 1), k):
@@ -194,7 +194,7 @@ def test_criterion_5_proof_mutation_suite():
         from adreward.elgamal import encrypt
 
         ct = encrypt(group, kp.pk, m, group.random_scalar(rng))
-        proof = prove_decryption(group, kp.sk, ct, m)
+        proof = prove_decryption(group, kp, ct, m)
         assert verify_decryption(group, kp.pk, ct, m, proof)
         for field in ("challenge", "response"):
             for v in scalar_variants(getattr(proof, field)):
@@ -254,7 +254,7 @@ def test_criterion_5_proof_mutation_suite():
         from adreward.elgamal import encrypt
 
         ct = encrypt(group, material[1].pk_T, rng.randint(0, 100), group.random_scalar(rng))
-        partial = partial_decrypt(group, 1, material[1].share, ct)
+        partial = partial_decrypt(group, 1, material[1].share, material[1].share_commitments[1], ct)
         commitment = material[1].share_commitments[1]
         assert verify_partial(group, ct, partial, commitment)
         for v in element_variants(partial.d_i):

@@ -192,8 +192,8 @@ def test_analytics_combines_the_first_k_accepted_rows_past_a_refused_member(grou
     ledger, psc_id, fsc_id, pool = _claimed_campaign(group, "analytics-refused")
     refused = pool.members[0].pool_index
 
-    def partial_decrypt_with_a_bad_first_member(grp, pool_index, share, ct):
-        partial = partial_decrypt(grp, pool_index, share, ct)
+    def partial_decrypt_with_a_bad_first_member(grp, pool_index, share, commitment, ct):
+        partial = partial_decrypt(grp, pool_index, share, commitment, ct)
         if pool_index != refused:
             return partial
         return dataclasses.replace(partial, d_i=partial.d_i * grp.g % grp.p)
@@ -238,7 +238,8 @@ def test_a_first_posting_of_shifted_sums_ends_analytics_in_a_typed_error_with_no
     sums = aggregate_click_ciphertexts(group, ledger, psc_id, range(9))
     shifted = (add_ciphertexts(group, sums[0], Ciphertext(1, group.g)),) + sums[1:]  # one more click on ad 0
     for member in pool.members[:planted]:
-        partials = tuple(partial_decrypt(group, member.pool_index, member.material.share, ct) for ct in shifted)
+        share, commitment = member.material.share, member.material.share_commitments[member.pool_index]
+        partials = tuple(partial_decrypt(group, member.pool_index, share, commitment, ct) for ct in shifted)
         receipt = ledger.call(member.account, Call(fsc_id, "post_analytics", (member.pool_index, shifted, partials)))
         assert receipt.status == "ok"  # the chain does not compare posted sums with the claim log yet
     with pytest.raises(error) as raised:
@@ -281,18 +282,32 @@ def test_audit_verifies_each_posted_partial_once(group, monkeypatch):
 
     ledger, advertisers, psc_id, fsc_id = _audited_campaign(group, "audit-once")
     fsc = ledger.contracts[fsc_id]
-    checked = []
-    original = dkg.verify_partial
+    commitments = ledger.contracts[psc_id].pool_share_commitments
+    batched, single = [], []
+    batch, verify_partial = actors.dleq_verify_batch, dkg.verify_partial
 
-    def counting(group_, c, partial, commitment):
-        checked.append((partial.participant_id, c))
-        return original(group_, c, partial, commitment)
+    def counting_batch(group_, domain, statements):
+        batched.append(list(statements))
+        return batch(group_, domain, statements)
 
-    monkeypatch.setattr(dkg, "verify_partial", counting)
+    def counting_single(*args):
+        single.append(args)
+        return verify_partial(*args)
+
+    monkeypatch.setattr(actors, "dleq_verify_batch", counting_batch)
+    monkeypatch.setattr(dkg, "dleq_verify_batch", counting_batch)
+    monkeypatch.setattr(dkg, "verify_partial", counting_single)
     assert all(advertiser_verify_analytics(group, ledger, psc_id, fsc_id, a) for a in advertisers)
-    catalog_size = len(fsc.posted_aggregate_cts)
-    assert len(checked) == len(fsc.posted_partials) * catalog_size
-    assert len(set(checked)) == len(checked)
+    posted = [
+        dkg.partial_statement(group, ct, partial, commitments[index])
+        for index, row in fsc.posted_partials.items()
+        for ct, partial in zip(fsc.posted_aggregate_cts, row)
+    ]
+    # one batch per advertiser, each posted partial in exactly one of them, and no check of a single partial
+    assert len(batched) == len(advertisers)
+    assert sorted(map(repr, (s for statements in batched for s in statements))) == sorted(map(repr, posted))
+    assert len(set(posted)) == len(fsc.posted_partials) * len(fsc.posted_aggregate_cts)
+    assert single == []
 
 
 def test_pool_selection_statistics_and_forgery(group):
@@ -350,7 +365,7 @@ def test_centralized_baseline_cross_check(group):
         aggregate, reward_sig = manager.compute_reward(user.pk, enc_vec)
         elem = decrypt_to_element(group, user.sk, aggregate)
         dec_result = recover_plaintext(group, elem, plan.recovery_bound)
-        proof = prove_decryption(group, user.sk, aggregate, dec_result)
+        proof = prove_decryption(group, user, aggregate, dec_result)
         paid = manager.pay(user.pk, dec_result, aggregate, reward_sig, proof)
 
         assert fsc.payment_queue[session.reward_address] == paid

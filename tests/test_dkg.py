@@ -124,7 +124,7 @@ def test_partial_decryption_proofs(group):
     _, _, _, material = run_dkg(group, n=3, k=2)
     pk_t = material[1].pk_T
     ct = encrypt(group, pk_t, 25, group.random_scalar(DetRng("ct")))
-    partial = partial_decrypt(group, 1, material[1].share, ct)
+    partial = partial_decrypt(group, 1, material[1].share, material[1].share_commitments[1], ct)
     assert verify_partial(group, ct, partial, material[1].share_commitments[1])
     tampered = dataclasses.replace(partial, d_i=partial.d_i * group.g % group.p)
     assert not verify_partial(group, ct, tampered, material[1].share_commitments[1])
@@ -141,7 +141,7 @@ def test_combination_thresholds_and_subsets(group):
         ct = encrypt(group, pk_t, message, group.random_scalar(DetRng(f"m-{n}-{k}")))
         commitments = material[1].share_commitments
         partials = {
-            j: partial_decrypt(group, j, material[j].share, ct)
+            j: partial_decrypt(group, j, material[j].share, material[j].share_commitments[j], ct)
             for j in range(1, n + 1)
         }
         # oracle: direct decryption under the interpolated joint secret
@@ -172,9 +172,10 @@ def test_lagrange_combine_of_any_quorum_matches_combine_partials(group, data):
     cfg, _, _, material = _pool(group, n, k)
     ct = encrypt(group, material[1].pk_T, message, r)
     commitments = material[1].share_commitments
-    partials = {j: partial_decrypt(group, j, material[j].share, ct) for j in range(1, n + 1)}
+    ids = range(1, n + 1)
+    partials = {j: partial_decrypt(group, j, material[j].share, commitments[j], ct) for j in ids}
     with group.precomputed(ct.c1):
-        assert {j: partial_decrypt(group, j, material[j].share, ct) for j in range(1, n + 1)} == partials
+        assert {j: partial_decrypt(group, j, material[j].share, commitments[j], ct) for j in ids} == partials
     for subset in itertools.combinations(range(1, n + 1), k):
         quorum = data.draw(st.permutations(subset), label="quorum order")
         chosen = [partials[j] for j in quorum]
@@ -187,7 +188,7 @@ def test_combine_rejects_invalid_partial(group):
     cfg, _, _, material = run_dkg(group, n=3, k=2)
     ct = encrypt(group, material[1].pk_T, 5, group.random_scalar(DetRng("bad")))
     commitments = material[1].share_commitments
-    good = [partial_decrypt(group, j, material[j].share, ct) for j in (1, 2)]
+    good = [partial_decrypt(group, j, material[j].share, material[j].share_commitments[j], ct) for j in (1, 2)]
     bad = dataclasses.replace(good[0], d_i=good[0].d_i * group.g % group.p)
     with pytest.raises(InvalidPartial):
         combine_partials(group, cfg, ct, [bad, good[1]], commitments)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from adreward.elgamal import (
     MAX_PLAINTEXT,
+    Ciphertext,
     add_ciphertexts,
     decrypt,
     decrypt_to_element,
@@ -122,6 +123,20 @@ def test_linearity_weighted_sum(group, keypair):
     combined = sum_ciphertexts(group, [scalar_mul_ciphertext(group, c, w) for c, w in zip(cts, weights)])
     expected = sum(v * w for v, w in zip(values, weights))
     assert decrypt(group, keypair.sk, combined, bound=expected + 1) == expected
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 40])
+def test_sum_ciphertexts_equals_the_fold_of_add_ciphertexts(group, keypair, length):
+    rng = DetRng(f"sum-{length}")
+    cts = encrypt_vector(group, keypair.pk, [rng.randint(0, 15) for _ in range(length)], rng)
+    # unreduced components too: the sum reduces them as add_ciphertexts does
+    cts += [Ciphertext(c1=c.c1 + group.p, c2=c.c2) for c in cts[:1]]
+    folded = Ciphertext(c1=1, c2=1)
+    for c in cts:
+        folded = add_ciphertexts(group, folded, c)
+    summed = sum_ciphertexts(group, iter(cts))
+    assert summed == folded
+    assert summed.to_bytes() == folded.to_bytes()
 
 
 def test_encrypt_vector_matches_scalar_encrypt_semantics(group, keypair):

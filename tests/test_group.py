@@ -1,5 +1,6 @@
 import builtins
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +89,63 @@ _exponents = st.one_of(st.integers(min_value=0, max_value=1 << 300), st.sampled_
 @given(b1=_bases, e1=_exponents, b2=_bases, e2=_exponents)
 def test_multi_power_matches_two_pows(group, b1, e1, b2, e2):
     assert group.multi_power(b1, e1, b2, e2) == pow(b1, e1, P) * pow(b2, e2, P) % P
+
+
+_pairs = st.lists(st.tuples(_bases, _exponents), max_size=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=_pairs, repeated=st.integers(min_value=0, max_value=3))
+def test_multi_exp_matches_a_product_of_pows(group, pairs, repeated):
+    # repeat the first base with fresh exponents, so equal bases meet in one bucket
+    pairs = pairs + [(pairs[0][0], e) for e in (0, 1, 17)[:repeated]] if pairs else pairs
+    expected = 1
+    for base, exponent in pairs:
+        expected = expected * pow(base, exponent, P) % P
+    assert group.multi_exp(pairs) == expected
+
+
+def test_multi_exp_of_nothing_or_zero_exponents_is_one(group):
+    assert group.multi_exp([]) == 1
+    assert group.multi_exp([(group.g, 0), (0, 0), (P + 5, 0)]) == 1
+    assert group.multi_exp([(0, 5), (group.g, 3)]) == 0
+
+
+def test_multi_exp_reads_a_generator_once(group):
+    pairs = [(group.g, 5), (group.h, 7)]
+    assert group.multi_exp(iter(pairs)) == group.multi_exp(pairs) == pow(group.g, 5, P) * pow(group.h, 7, P) % P
+
+
+def _is_element_oracle(v: int) -> bool:
+    return 0 < v < P and pow(v, Q, P) == 1
+
+
+_residues = st.integers(min_value=1, max_value=P - 1).map(lambda x: x * x % P)
+_candidates = st.one_of(
+    _residues,
+    _residues.map(lambda s: P - s),  # non-residues: -1 is not a square mod p
+    _residues.map(lambda s: s + P),
+    st.sampled_from([0, 1, P - 1, P, P + 1, -1, -4, 2 * P]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(_candidates, max_size=128), seed=st.binary(max_size=8))
+def test_all_elements_is_exact_up_to_128_values(group, values, seed):
+    assert group.all_elements(values, seed) == all(map(_is_element_oracle, values))
+
+
+@pytest.mark.parametrize("count", [129, 200, 301])
+def test_all_elements_catches_a_planted_non_element_anywhere_in_a_long_list(group, count):
+    rng = DetRng(f"planted-{count}")
+    residues = [group.pow_g(group.random_scalar(rng)) for _ in range(count)]
+    assert group.all_elements(residues, b"seed")
+    for bad in (P - residues[0], 0, P - 1, P, -4):
+        for position in (0, count // 2, count - 1):
+            values = list(residues)
+            values[position] = bad
+            for seed in (b"seed", b"other seed", bytes(32)):
+                assert not group.all_elements(values, seed), (bad, position, seed)
 
 
 def test_hash_to_element_lands_in_subgroup(group):

@@ -158,9 +158,10 @@ class _PhaseSpy:
 
     Each step in ``_PHASE_STEPS`` is rebound in ``adreward.scenario`` (where
     run_campaign looks it up), ``PrimeOrderGroup.power`` and
-    ``FixedBaseTable.__init__`` on their classes, and ``dkg.verify_partial``
-    in its module, where every caller looks it up. ``campaign`` is the opened
-    campaign, for its keys.
+    ``FixedBaseTable.__init__`` on their classes, ``dkg.verify_partial`` in its
+    module, where every caller looks it up, and ``dleq_verify_batch`` in
+    ``dkg`` (the chain's row check) and ``actors`` (the advertiser audit).
+    ``campaign`` is the opened campaign, for its keys.
     """
 
     def __init__(self, group, monkeypatch):
@@ -169,6 +170,7 @@ class _PhaseSpy:
         self.powers: list[tuple[str | None, int, bool]] = []  # (phase, base, whether base had a table)
         self.builds: list[tuple[str | None, int]] = []  # (phase, base) of every table built
         self.partial_checks: list[tuple[str | None, bool]] = []  # (phase, whether inside post_analytics)
+        self.batched: list[tuple[str | None, bool, tuple]] = []  # (phase, whether inside post_analytics, statement)
         self.campaign = None
         for name, phase in _PHASE_STEPS.items():
             monkeypatch.setattr(scenario, name, self._step(group, phase, getattr(scenario, name)))
@@ -211,6 +213,14 @@ class _PhaseSpy:
             return verify(*args)
 
         monkeypatch.setattr(dkg, "verify_partial", spy_verify)
+        batch = dkg.dleq_verify_batch
+
+        def spy_batch(grp, domain, statements):
+            self.batched += [(self.phase, self._posting, statement) for statement in statements]
+            return batch(grp, domain, statements)
+
+        monkeypatch.setattr(dkg, "dleq_verify_batch", spy_batch)
+        monkeypatch.setattr(actors, "dleq_verify_batch", spy_batch)
 
     def _step(self, group, phase, original):
         def step(*args, **kwargs):
@@ -260,12 +270,24 @@ def test_no_power_of_a_phase_key_falls_back_to_pow_in_phase1_or_settlement(group
 def test_analytics_checks_each_posted_partial_once_and_raises_each_sums_c1_from_one_table(group, monkeypatch):
     spy = _PhaseSpy(group, monkeypatch)
     assert scenario.run_campaign(scenario.ScenarioConfig(name="precomputed", **_SMALL_CAMPAIGN)).passed
-    fsc = spy.campaign.fsc
+    campaign, fsc = spy.campaign, spy.campaign.fsc
     c1s = [ct.c1 for ct in fsc.posted_aggregate_cts]
     assert len(set(c1s)) == _SMALL_CAMPAIGN["num_ads"]
-    # every check is the chain's, one per posted member and ad; the combination checks nothing again
-    checks = [posting for phase, posting in spy.partial_checks if phase == "analytics"]
-    assert checks == [True] * (len(fsc.posted_partials) * _SMALL_CAMPAIGN["num_ads"])
+    posted = [
+        dkg.partial_statement(group, ct, partial, campaign.psc.pool_share_commitments[index])
+        for index, row in fsc.posted_partials.items()
+        for ct, partial in zip(fsc.posted_aggregate_cts, row)
+    ]
+    assert len(set(posted)) == len(fsc.posted_partials) * _SMALL_CAMPAIGN["num_ads"]
+    # every posted partial goes into a batch once on chain and once in the advertisers' audit, and nowhere else;
+    # the combination checks nothing again, and an honest campaign checks no partial on its own
+    on_chain = [statement for phase, posting, statement in spy.batched if phase == "analytics"]
+    assert all(posting for phase, posting, _ in spy.batched if phase == "analytics")
+    audited = [statement for phase, _, statement in spy.batched if phase == "audit"]
+    assert sorted(map(repr, on_chain)) == sorted(map(repr, posted))
+    assert sorted(map(repr, audited)) == sorted(map(repr, posted))
+    assert {phase for phase, _, _ in spy.batched} == {"analytics", "audit"}
+    assert spy.partial_checks == []
     assert spy.raised_in("analytics", set(c1s)) == {c1: {True} for c1 in c1s}
     assert sorted(base for phase, base in spy.builds if phase == "analytics" and base in c1s) == sorted(c1s)
 
